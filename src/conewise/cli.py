@@ -80,6 +80,11 @@ def _parse_degree(text: str):
                          "or p/q entries" % text)
 
 
+def _is_vector(v) -> bool:
+    return (isinstance(v, (tuple, list)) and bool(v)
+            and all(isinstance(x, (int, float)) for x in v))
+
+
 def _parse_wall(text: str, fan: Fan):
     """Ray indices like "4,5" or coordinate tuples like "(1,-1,-1),(1,-1,2)"."""
     text = text.strip()
@@ -87,9 +92,11 @@ def _parse_wall(text: str, fan: Fan):
         try:
             parsed = ast.literal_eval(text)
         except (ValueError, SyntaxError):
-            raise ParseError("cannot parse wall coordinates %r" % text)
-        if isinstance(parsed[0], int):
+            parsed = None
+        if _is_vector(parsed):
             parsed = (parsed,)
+        if not (isinstance(parsed, (tuple, list)) and parsed and all(map(_is_vector, parsed))):
+            raise ParseError("cannot parse wall coordinates %r" % text)
         ray_index = {r: i for i, r in enumerate(fan.rays)}
         idx = []
         for vec in parsed:

@@ -217,10 +217,6 @@ class CountReport:
     ineq_4f1_le_2f2: bool
     ineq_f2_gt_2f1_minus_3: bool
 
-    @property
-    def hypothesis_holds(self) -> bool:
-        return self.all_m_rho_ge_4
-
 
 def counting_certificate(fan: Fan) -> CountReport:
     if fan.ambient_rank != 3:

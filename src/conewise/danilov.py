@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import ceil, floor, lcm
 from typing import Sequence
 
-from .cones import Cone, _halfspaces_to_rays, intersect
+from .cones import Cone, _halfspaces_to_rays
 from .errors import (
     DegreeNotInCone,
     DegreeNotInLattice,
@@ -78,7 +78,7 @@ class Polyhedron:
             den = c.denominator
             hom_rows.append(tuple(den * x for x in a) + (-int(c * den),))
         hom_rows.append(tuple([0] * n) + (1,))
-        lin, rays = _halfspaces_to_rays(hom_rows, n + 1)
+        lin, rays, _ = _halfspaces_to_rays(hom_rows, n + 1)
         for b in lin:
             if b[n] != 0:
                 raise AssertionError("lineality escaped the t >= 0 constraint")
@@ -393,28 +393,6 @@ class H1Certificate:
     notes: str = CERTIFICATE_NOTE
 
 
-def _two_cone_intersections_small(fan: Fan) -> bool:
-    """Pairwise intersections of distinct 2-dimensional cones have dimension
-    at most 1.  This holds in every valid fan and is what lets the covering
-    argument kill the first cohomology away from the chosen wall; recording
-    it keeps the certificate self-contained."""
-    if fan._wall_pairs_small is not None:
-        return fan._wall_pairs_small
-    walls = fan.cones_of_dim(2)
-    spans = [w.cone.span() for w in walls]
-    ok = True
-    for i, j in itertools.combinations(range(len(walls)), 2):
-        # distinct walls spanning different planes meet in dimension <= 1;
-        # only coplanar pairs need the exact cone intersection
-        if spans[i].intersect_span(spans[j].basis).rank <= 1:
-            continue
-        if intersect(walls[i].cone, walls[j].cone).dim > 1:
-            ok = False
-            break
-    fan._wall_pairs_small = ok
-    return ok
-
-
 def _resolve_wall(fan: Fan, wall) -> FanCone:
     if isinstance(wall, FanCone):
         fc = wall
@@ -437,9 +415,11 @@ def h1_wall_certificate(fan: Fan, wall, m: Sequence,
     """Assemble the three graded reports for a wall and its two neighbours.
 
     The certificate is valid when the cokernel piece vanishes on both
-    neighbours but not on the wall; together with the recorded structural
-    fact about 2-cone intersections this forces nonzero first cohomology on
-    the whole toric variety.
+    neighbours but not on the wall; together with the structural fact that
+    distinct 2-cones meet in dimension at most 1 this forces nonzero first
+    cohomology on the whole toric variety.  The fact needs no computation: a
+    complete fan is valid, so two distinct 2-cones meet in a common proper
+    face of each, which has dimension at most 1.
     """
     if fan.ambient_rank != 3:
         raise WrongDimension("wall certificates are computed on rank-3 fans")
@@ -456,9 +436,7 @@ def h1_wall_certificate(fan: Fan, wall, m: Sequence,
     wall_report = f_dim(fc.cone, m, lattice)
     s1 = f_dim(fan.maximal_cones[owners[0]], m, lattice)
     s2 = f_dim(fan.maximal_cones[owners[1]], m, lattice)
-    structural = _two_cone_intersections_small(fan)
-    valid = (s1.dim_f == 0 and s2.dim_f == 0 and wall_report.dim_f >= 1
-             and structural)
+    valid = s1.dim_f == 0 and s2.dim_f == 0 and wall_report.dim_f >= 1
     return H1Certificate(
         fan=fan,
         wall_rays=fc.ray_indices,
@@ -467,24 +445,28 @@ def h1_wall_certificate(fan: Fan, wall, m: Sequence,
         lattice=lattice,
         wall_report=wall_report,
         neighbour_reports=(s1, s2),
-        two_cone_intersections_ok=structural,
+        two_cone_intersections_ok=True,
         valid=valid,
     )
+
+
+def lattice_points_by_shell(lattice: Sublattice, radius: int | None = None):
+    """Lattice points by sup-norm then lexicographically, generated shell by
+    shell up to ``radius`` (without end when None), so that a first-hit
+    search stops at its hit."""
+    den = lattice.den
+    standard = _is_standard(lattice)
+    for s in itertools.count() if radius is None else range(radius * den + 1):
+        for y in itertools.product(range(-s, s + 1), repeat=lattice.ambient_rank):
+            if (max(map(abs, y), default=0) == s
+                    and (standard or _in_scaled_lattice(lattice, y))):
+                yield tuple(Fraction(x, den) for x in y)
 
 
 def lattice_points_in_box(lattice: Sublattice, radius: int) -> list[RatVec]:
     """Lattice points with sup-norm at most radius, sorted by sup-norm then
     lexicographically."""
-    n = lattice.ambient_rank
-    den = lattice.den
-    pts = []
-    r = radius * den
-    standard = den == 1 and lattice.basis_int == Sublattice.standard(n).basis_int
-    for y in itertools.product(range(-r, r + 1), repeat=n):
-        if standard or _in_scaled_lattice(lattice, y):
-            pts.append(tuple(Fraction(x, den) for x in y))
-    pts.sort(key=lambda p: (max(abs(x) for x in p), p))
-    return pts
+    return list(lattice_points_by_shell(lattice, radius))
 
 
 def find_h1_witness(fan: Fan, lattice: Sublattice | None = None,

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .cones import Cone
 from .cpl import CountReport, CPLFunction, counting_certificate, nontrivial_cpl
-from .danilov import H1Certificate, h1_wall_certificate, lattice_points_in_box
+from .danilov import H1Certificate, h1_wall_certificate, lattice_points_by_shell
 from .errors import (
     CertificateInvalid,
     InvalidFan,
@@ -50,7 +50,7 @@ def choose_l(tau: Cone, tau1: Cone, tau2: Cone, lattice: Sublattice,
     dual = tau.dual()
     d1 = tau1.dual()
     d2 = tau2.dual()
-    for l in lattice_points_in_box(lattice, search_radius):
+    for l in lattice_points_by_shell(lattice, search_radius):
         if not dual.in_relative_interior(l):
             continue
         if d1.contains(l) or d2.contains(l):
@@ -112,15 +112,9 @@ def build_sublattice(tau: Cone, l: Sequence, lattice: Sublattice | None = None
     if not tau.dual().in_relative_interior(l):
         raise LNotInRelativeInterior(
             "functional %s is not in the relative interior of the dual" % (l,))
-    span_tau = list(tau.rays)
-    n0 = None
-    radius = 1
-    while n0 is None:
-        for p in lattice_points_in_box(lattice, radius):
-            if any(x != 0 for x in p) and span_lattice(span_tau + [p], n).rank > 2:
-                n0 = tuple(int(x) if Fraction(x).denominator == 1 else x for x in p)
-                break
-        radius *= 2
+    p = next(p for p in lattice_points_by_shell(lattice)
+             if any(p) and span_lattice(list(tau.rays) + [p], n).rank > 2)
+    n0 = tuple(int(x) if x.denominator == 1 else x for x in p)
     n1 = lattice.intersect_span([n0])
     w1, w2 = tau.rays
     c1 = dot(l, w1)

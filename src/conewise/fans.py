@@ -14,12 +14,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .cones import Cone, intersect
+from .cones import Cone, _halfspaces_to_rays, intersect
 from .errors import InvalidFan, NotComplete, NotFullRank, OriginNotInterior, WrongDimension
 from .linalg import (
-    IntVec,
     Sublattice,
-    dot,
     invert_fraction_matrix,
     is_zero_vec,
     mat_transpose,
@@ -100,7 +98,6 @@ class Fan:
         self._build_closure()
         self._validation: ValidationReport | None = None
         self._complete: bool | None = None
-        self._wall_pairs_small: bool | None = None
 
     # -- closure -----------------------------------------------------------
 
@@ -287,9 +284,10 @@ def build_face_fan(points: Sequence[Sequence[int]],
                    labels: dict[str, Sequence[int]] | None = None) -> Fan:
     """Fan whose maximal cones are the cones over the facets of conv(points).
 
-    The origin must be an interior point of the hull.  Facets are found by
-    exhaustive supporting-hyperplane search over point subsets, which is
-    exact and complete for the desk-scale inputs used here.
+    The origin must be an interior point of the hull.  The facets
+    ``<u, x> <= c`` of a full-dimensional hull are the extremal rays (u, c)
+    of the pointed cone of inequalities valid on every point, rows
+    ``(-p, 1)``; the origin is interior iff every facet has ``c > 0``.
     """
     pts = [tuple(int(x) for x in p) for p in points]
     if not pts:
@@ -297,34 +295,17 @@ def build_face_fan(points: Sequence[Sequence[int]],
     n = len(pts[0])
     if span_lattice(pts, n).rank != n:
         raise OriginNotInterior("points do not span the ambient space")
-    facets: dict[tuple[IntVec, int], tuple[int, ...]] = {}
-    for comb in combinations(range(len(pts)), n):
-        base = pts[comb[0]]
-        diffs = [tuple(pts[i][t] - base[t] for t in range(n)) for i in comb[1:]]
-        ker = span_lattice(diffs, n).annihilator()
-        if ker.rank != 1:
-            continue
-        u = primitive_vector(ker.basis_int[0])
-        c = dot(u, base)
-        values = [dot(u, p) for p in pts]
-        if all(v <= c for v in values):
-            pass
-        elif all(v >= c for v in values):
-            u, c = vec_neg(u), -c
-            values = [-v for v in values]
-        else:
-            continue
+    lin, normals, tight = _halfspaces_to_rays([vec_neg(p) + (1,) for p in pts], n + 1)
+    if lin:
+        raise OriginNotInterior("points lie on an affine hyperplane")
+    for *u, c in normals:
         if c <= 0:
             raise OriginNotInterior(
-                "supporting hyperplane %s . x = %d excludes the origin" % (u, c))
-        tight = tuple(i for i, v in enumerate(values) if v == c)
-        facets.setdefault((u, c), tight)
-    if not facets:
-        raise OriginNotInterior("hull has no supporting facets")
+                "supporting hyperplane %s . x = %d excludes the origin" % (tuple(u), c))
     # only extremal ray directions of the facet cones become fan rays; a
     # point interior to a facet generates nothing one-dimensional
-    facet_cones = [Cone.from_generators([pts[i] for i in tight], n)
-                   for tight in facets.values()]
+    facet_cones = [Cone.from_generators([p for i, p in enumerate(pts) if z >> i & 1], n)
+                   for z in tight]
     extremal = set()
     for cone in facet_cones:
         extremal.update(cone.rays)

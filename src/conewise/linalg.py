@@ -34,10 +34,6 @@ def vec_add(u: Sequence, v: Sequence) -> tuple:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_sub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vec_scale(c, u: Sequence) -> tuple:
     return tuple(c * a for a in u)
 
@@ -52,10 +48,6 @@ def is_zero_vec(u: Sequence) -> bool:
 
 def sup_norm(u: Sequence):
     return max((abs(a) for a in u), default=0)
-
-
-def as_fraction_vec(u: Sequence) -> RatVec:
-    return tuple(Fraction(a) for a in u)
 
 
 def primitive_vector(u: Sequence) -> IntVec:
@@ -90,10 +82,6 @@ def mat_transpose(rows: Sequence[Sequence]) -> tuple:
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
     bt = mat_transpose(b)
     return tuple(tuple(dot(ra, cb) for cb in bt) for ra in a)
-
-
-def mat_vec(a: Sequence[Sequence], v: Sequence) -> tuple:
-    return tuple(dot(row, v) for row in a)
 
 
 def vec_mat(v: Sequence, a: Sequence[Sequence]) -> tuple:
@@ -379,9 +367,6 @@ class Sublattice:
     def basis(self) -> tuple[RatVec, ...]:
         return tuple(tuple(Fraction(x, self.den) for x in row)
                      for row in self.basis_int)
-
-    def is_integer(self) -> bool:
-        return self.den == 1
 
     def _solve(self, w: Sequence[Fraction]):
         """Coordinates of w in the stored integer basis, or None."""

@@ -126,6 +126,8 @@ def construct_nontrivial(fan: Fan, sigma_index: int | None = None,
             "need more than one maximal cone of dimension equal to the rank")
     if sigma_index is None:
         sigma_index = full[0]
+    if not 0 <= sigma_index < len(fan.maximal_cones):
+        raise HypothesisFailed("no maximal cone has index %d" % sigma_index)
     cone = fan.maximal_cones[sigma_index]
     if cone.dim != n:
         raise NotFullDimensional("chosen cone does not span the ambient space")

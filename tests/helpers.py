@@ -3,13 +3,26 @@
 The oracles here deliberately avoid the library's own algorithms: cone
 membership goes through independent-subset solves, facet counting through
 bounded normal-vector search, Hermite forms through brute-force unimodular
-search, and lattice point spans through a flat numpy box enumeration.
+search, lattice point spans through a flat numpy box enumeration, and cone
+conversion through an exhaustive search over row subsets.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
-from conewise.linalg import Sublattice, dot, fraction_det, mat_identity, span_lattice
+from conewise.linalg import (
+    Sublattice,
+    dot,
+    fraction_det,
+    is_zero_vec,
+    mat_identity,
+    primitive_vector,
+    quotient_chart,
+    right_kernel,
+    span_lattice,
+    vec_mat,
+    vec_neg,
+)
 
 
 def random_int_matrix(rng, rows, cols, lo=-5, hi=5):
@@ -200,3 +213,94 @@ def apply_unimodular(fan, u):
         return vec_mat(tuple(Fraction(x) for x in m), mat_transpose(u))
 
     return new_fan, degree_map
+
+
+def halfspaces_to_rays_oracle(rows, n):
+    """``(lineality, rays)`` of ``{x : <a, x> >= 0 for every row a}`` by
+    trying every row subset of the right corank.
+
+    An extremal ray line is the kernel of some ``n - lin - 1`` rows, so
+    testing every subset is exhaustive.  The canonical representative is
+    the primitive quotient-chart vector lifted through the section, as in
+    the library, so results compare as tuples.
+    """
+    rows = [tuple(r) for r in rows if not is_zero_vec(r)]
+    lin = right_kernel(rows, n)
+    lin_dim = len(lin)
+    k0 = n - lin_dim - 1
+    if k0 < 0:
+        return lin, ()
+    w, v = quotient_chart(lin, n)
+    section = w[lin_dim:]
+    seen = set()
+    for subset in combinations(range(len(rows)), k0):
+        ker = right_kernel([rows[i] for i in subset], n)
+        if len(ker) != lin_dim + 1:
+            continue
+        imgs = [vec_mat(k, v)[lin_dim:] for k in ker]
+        quot = span_lattice(imgs, n - lin_dim)
+        if quot.rank != 1:
+            continue
+        g = primitive_vector(quot.basis_int[0])
+        cand = vec_mat(g, section)
+        pairings = [dot(a, cand) for a in rows]
+        if all(p >= 0 for p in pairings):
+            seen.add(cand)
+        elif all(p <= 0 for p in pairings):
+            seen.add(vec_neg(cand))
+    return lin, tuple(sorted(seen))
+
+
+def cone_oracle(generators, n):
+    """``(rays, lineality, ineq_rays, equations)`` of the cone generated by
+    ``generators``: the dual by one subset-search conversion, then the cone
+    back from the dual's rays and equations by a second one."""
+    gens = [primitive_vector(g) for g in generators if not is_zero_vec(g)]
+    eq, ineq = halfspaces_to_rays_oracle(gens, n)
+    constraints = list(ineq) + list(eq) + [vec_neg(e) for e in eq]
+    lin, rays = halfspaces_to_rays_oracle(constraints, n)
+    return rays, lin, ineq, eq
+
+
+def faces_oracle(generators, n):
+    """Oracle data of every face: breadth-first over facets, each facet
+    rebuilt from the rays on it with :func:`cone_oracle`."""
+    start = cone_oracle(generators, n)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for rays, lin, ineq, _ in frontier:
+            for u in ineq:
+                tight = [r for r in rays if dot(u, r) == 0]
+                face = cone_oracle(tight + list(lin) + [vec_neg(b) for b in lin], n)
+                if face not in seen:
+                    seen.add(face)
+                    nxt.append(face)
+        frontier = nxt
+    return seen
+
+
+def face_fan_facets_oracle(points):
+    """Point index sets of the facets of conv(points), by supporting-plane
+    search over every n-subset, or None when the origin is not strictly on
+    the inner side of every facet plane."""
+    n = len(points[0])
+    facets = set()
+    for comb in combinations(range(len(points)), n):
+        base = points[comb[0]]
+        diffs = [tuple(points[i][t] - base[t] for t in range(n)) for i in comb[1:]]
+        ker = span_lattice(diffs, n).annihilator()
+        if ker.rank != 1:
+            continue
+        u = ker.basis_int[0]
+        c = dot(u, base)
+        values = [dot(u, p) for p in points]
+        if not all(v <= c for v in values):
+            if not all(v >= c for v in values):
+                continue
+            c, values = -c, [-v for v in values]
+        if c <= 0:
+            return None
+        facets.add(tuple(i for i, v in enumerate(values) if v == c))
+    return facets

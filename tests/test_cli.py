@@ -97,6 +97,36 @@ class TestCertify:
         assert no_floats(doc)
 
 
+class TestParseBoundary:
+    @pytest.mark.parametrize("wall", ["(None,)", "((1,2),(3,4)),(1,2)", "()",
+                                      "(1)", "('a',1,2)", "(1,2),None"])
+    def test_malformed_wall_is_a_parse_error(self, fan_files, wall):
+        code, out, err = run_cli(["certify", fan_files["payne"], "--wall", wall,
+                                  "--degree", "1,-1,0"])
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
+
+    def test_empty_cone_tuple_is_a_parse_error(self, fan_files):
+        code, _, err = run_cli(["fdim", fan_files["payne"], "--cone", "()",
+                                "--degree", "1,-1,0"])
+        assert code == 1 and json.loads(err)["error"] == "ParseError"
+
+    def test_float_coordinates_still_name_the_wall(self, fan_files):
+        code, out, _ = run_cli(["certify", fan_files["payne"], "--wall",
+                                "(1.0,-1,-1),(1,-1,2)", "--degree", "1,-1,0"])
+        assert code == 0 and json.loads(out)["wall_rays"] == [4, 5]
+
+    @pytest.mark.parametrize("sigma", ["-1", "6", "99"])
+    def test_sigma_outside_the_cone_range(self, fan_files, sigma):
+        code, out, err = run_cli(["multival", fan_files["cube"], "--sigma=" + sigma])
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "HypothesisFailed"
+
+    def test_last_sigma_is_accepted(self, fan_files):
+        code, out, _ = run_cli(["multival", fan_files["cube"], "--sigma", "5"])
+        assert code == 0 and json.loads(out)["triviality"]["trivial"] == 0
+
+
 class TestOtherCommands:
     def test_validate(self, fan_files):
         code, out, _ = run_cli(["validate", fan_files["cube"]])

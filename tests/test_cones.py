@@ -1,11 +1,19 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from conewise.cones import Cone, dual_cone, facet_pairs, intersect
 from conewise.errors import NotFullDimensional, NotInCone, NotPointed
 from conewise.linalg import dot, fraction_det, span_lattice
-from helpers import cone_contains_oracle, facet_count_oracle, random_unimodular
+from helpers import (
+    cone_contains_oracle,
+    cone_oracle,
+    facet_count_oracle,
+    faces_oracle,
+    halfspaces_to_rays_oracle,
+    random_unimodular,
+)
 
 OCTANT = Cone.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 TAU = Cone.from_generators([(1, -1, -1), (1, -1, 2)])
@@ -207,3 +215,96 @@ class TestFaceRelations:
         line = Cone.from_generators([(1, 0), (-1, 0), (0, 1)])
         with pytest.raises(NotPointed):
             facet_pairs(line)
+
+
+
+def _data(c):
+    return c.rays, c.lineality, c.ineq_rays, c.equations
+
+
+def _both_signs(vectors):
+    return [v for b in vectors for v in (tuple(b), tuple(-x for x in b))]
+
+
+def _random_generators(rng, n, kind):
+    """Generators of a seeded cone of the requested kind in rank n."""
+    if kind == "zero":
+        return [(0,) * n] * rng.randint(0, 2)
+    if kind == "lower":
+        # generators inside the span of n - 1 random vectors
+        basis = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n - 1)]
+        return [tuple(sum(rng.randint(-2, 2) * b[t] for b in basis) for t in range(n))
+                for _ in range(rng.randint(1, n + 1))]
+    gens = [tuple(rng.randint(-3, 3) for _ in range(n))
+            for _ in range(rng.randint(1, n + 2))]
+    if kind == "nonpointed":
+        gens.append(tuple(-x for x in gens[0]))
+    return gens
+
+
+def _kind(c):
+    if not c.rays and not c.lineality:
+        return "zero"
+    if c.lineality:
+        return "nonpointed"
+    return "lower" if c.dim < c.ambient_rank else "pointed"
+
+
+class TestConverterOracle:
+    """Every cone and face against the exhaustive subset-search converter."""
+
+    @pytest.mark.parametrize("name", ["payne_fan", "cube_fan", "octahedron_fan"])
+    def test_every_face_of_the_fixtures(self, name, request):
+        fan = request.getfixturevalue(name)
+        n = fan.ambient_rank
+        for cone, gens in zip(fan.maximal_cones, fan.maximal_cone_rays):
+            assert _data(cone) == cone_oracle([fan.rays[i] for i in gens], n)
+            assert {_data(f) for f in cone.faces()} == faces_oracle(cone.rays, n)
+        for fc in fan.all_cones:
+            assert _data(fc.cone) == cone_oracle(fc.cone.generators, n)
+
+    @pytest.mark.parametrize("kind,seed", [("pointed", 53), ("nonpointed", 59),
+                                           ("lower", 61), ("zero", 67)])
+    def test_random_cones_ranks_2_to_4(self, kind, seed):
+        rng = random.Random(seed)
+        seen = set()
+        for trial in range(24):
+            n = 2 + trial % 3
+            gens = _random_generators(rng, n, kind)
+            c = Cone.from_generators(gens, n)
+            assert _data(c) == cone_oracle(gens, n), (gens, n)
+            assert {_data(f) for f in c.faces()} == faces_oracle(gens, n)
+            dual_gens = list(c.ineq_rays) + _both_signs(c.equations)
+            assert _data(c.dual()) == cone_oracle(dual_gens, n)
+            seen.add(_kind(c))
+        assert kind in seen
+
+    def test_intersections(self):
+        rng = random.Random(71)
+        for trial in range(30):
+            n = 2 + trial % 3
+            c1 = Cone.from_generators(_random_generators(rng, n, "pointed"), n)
+            c2 = Cone.from_generators(_random_generators(rng, n, "nonpointed"), n)
+            rows = (list(c1.ineq_rays) + list(c2.ineq_rays)
+                    + _both_signs(c1.equations + c2.equations))
+            lin, rays = halfspaces_to_rays_oracle(rows, n)
+            meet = intersect(c1, c2)
+            assert (meet.rays, meet.lineality) == (rays, lin)
+            assert _data(meet) == cone_oracle(list(rays) + _both_signs(lin), n)
+
+    def test_v_description_of_shifted_reflections(self, payne_fan, cube_fan):
+        from conewise.danilov import cone_shifted_reflection
+
+        rng = random.Random(73)
+        for fan in (payne_fan, cube_fan):
+            for fc in fan.all_cones[::2]:
+                m = tuple(rng.randint(-3, 3) for _ in range(3))
+                poly = cone_shifted_reflection(fc.cone, m)
+                hom = [tuple(c.denominator * x for x in a) + (-int(c * c.denominator),)
+                       for a, c in poly.inequalities] + [(0, 0, 0, 1)]
+                lin, rays = halfspaces_to_rays_oracle(hom, 4)
+                vertices, recession, lineality = poly.v_description()
+                assert lineality == tuple(b[:3] for b in lin)
+                assert recession == tuple(r[:3] for r in rays if r[3] == 0)
+                assert vertices == tuple(tuple(Fraction(x, r[3]) for x in r[:3])
+                                         for r in rays if r[3] > 0)

@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from conewise.cones import Cone
+from conewise.cones import Cone, intersect
 from conewise.danilov import (
     Polyhedron,
     cone_shifted_reflection,
@@ -12,6 +13,7 @@ from conewise.danilov import (
     h1_wall_certificate,
     image_lattice,
     lattice_points_in,
+    lattice_points_by_shell,
     lattice_points_in_box,
     lattice_points_span,
     tilde_omega_dim,
@@ -229,7 +231,29 @@ def run_span_oracle_trials(target, rng, oracle_box=28):
     return done
 
 
+class TestBoxOrder:
+    def test_shells_match_the_sorted_box(self):
+        half = Z3.add_generator((Fraction(1, 2), Fraction(-1, 2), Fraction(0)))
+        for lattice in (Z3, half, span_lattice([(2, 0, 0), (0, 1, 1), (0, 0, 3)], 3)):
+            den = lattice.den
+            box = [p for p in (tuple(Fraction(x, den) for x in y)
+                               for y in itertools.product(range(-2 * den, 2 * den + 1),
+                                                          repeat=3))
+                   if lattice.contains(p)]
+            box.sort(key=lambda p: (max(abs(x) for x in p), p))
+            assert lattice_points_in_box(lattice, 2) == box
+            shells = lattice_points_by_shell(lattice)
+            assert list(itertools.islice(shells, len(box))) == box
+
+
 class TestCertificates:
+    def test_distinct_walls_meet_in_dimension_at_most_one(self, payne_fan, cube_fan,
+                                                          octahedron_fan):
+        # the structural fact every certificate records without a check
+        for fan in (payne_fan, cube_fan, octahedron_fan):
+            for a, b in itertools.combinations(fan.cones_of_dim(2), 2):
+                assert intersect(a.cone, b.cone).dim <= 1
+
     def test_payne_wall_certificate(self, payne_fan):
         cert = h1_wall_certificate(payne_fan, payne_fan.labels["tau"], M, Z3)
         assert cert.valid

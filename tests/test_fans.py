@@ -14,8 +14,8 @@ from conewise.fans import (
     stats,
     validate,
 )
-from conewise.linalg import Sublattice
-from helpers import apply_unimodular, random_unimodular
+from conewise.linalg import Sublattice, span_lattice
+from helpers import apply_unimodular, face_fan_facets_oracle, random_unimodular
 
 P1 = Fan(1, [(1,), (-1,)], [[0], [1]])
 
@@ -46,6 +46,29 @@ class TestBuilders:
             build_face_fan([(1, 0), (0, 1), (-1, 0)])  # origin on the boundary
         with pytest.raises(OriginNotInterior):
             build_face_fan([(1, 0, 0), (-1, 0, 0), (0, 1, 0)])  # flat hull
+        with pytest.raises(OriginNotInterior):
+            build_face_fan([(1, 0, 0), (0, 1, 0), (0, 0, 1)])  # hull off the origin
+
+    def test_facets_against_subset_search(self):
+        rng = random.Random(103)
+        checked = raised = 0
+        for trial in range(60):
+            n = 2 + trial % 2
+            pts = sorted({tuple(rng.randint(-3, 3) for _ in range(n))
+                          for _ in range(rng.randint(n + 2, 10))} - {(0,) * n})
+            diffs = [tuple(a - b for a, b in zip(p, pts[0])) for p in pts]
+            if span_lattice(diffs, n).rank != n:
+                continue
+            facets = face_fan_facets_oracle(pts)
+            if facets is None:
+                with pytest.raises(OriginNotInterior):
+                    build_face_fan(pts)
+                raised += 1
+                continue
+            expected = {Cone.from_generators([pts[i] for i in f], n) for f in facets}
+            assert set(build_face_fan(pts).maximal_cones) == expected
+            checked += 1
+        assert checked >= 10 and raised >= 5
 
     def test_face_fan_always_valid_and_complete(self):
         rng = random.Random(101)

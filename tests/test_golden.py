@@ -1,0 +1,116 @@
+"""Golden CLI corpus: every listed command must keep its exact output.
+
+Each entry of ``golden_digests.json`` holds an argv (``{cube}``,
+``{octahedron}``, ``{payne}`` and ``{half_lattice}`` stand for the fixture
+files), the exit code, and the sha256 of stdout and of stderr.  A refactor
+that changes any of them changes a CLI document; a change that does so on
+purpose re-records the file and names the entries it changed.
+
+Re-record with ``PYTHONPATH=src python tests/test_golden.py --record``.
+"""
+
+import hashlib
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+DATA = Path(__file__).with_name("golden_digests.json")
+FIXTURES = ("cube", "octahedron", "payne")
+
+JOBS = []
+for _name, _wall in (("cube", "0,1"), ("octahedron", "0,1"), ("payne", "4,5")):
+    _fan = "{%s}" % _name
+    JOBS += [
+        ["validate", _fan],
+        ["stats", _fan],
+        ["cpl", _fan],
+        ["multival", _fan],
+        ["multival", _fan, "--sigma", "1"],
+        ["fdim", _fan, "--cone", _wall, "--degree", "1,-1,0"],
+        ["fdim", _fan, "--cone", "0,1,2", "--degree", "0,0,0"],
+        ["certify", _fan, "--wall", _wall, "--degree", "1,-1,0"],
+        ["certify", _fan, "--wall", "0,2", "--degree=-1,2,1"],
+    ]
+JOBS += [
+    ["builders", "payne"],
+    ["fdim", "{payne}", "--cone", "tau", "--degree", "1,-1,0"],
+    ["fdim", "{payne}", "--cone", "sigma1", "--degree", "1,-1,0"],
+    ["certify", "{payne}", "--wall", "(1,-1,-1),(1,-1,2)", "--degree", "1,-1,0"],
+    ["certify", "{payne}", "--wall", "4,5", "--degree", "1/2,-1/2,0",
+     "--lattice", "{half_lattice}"],
+    ["fdim", "{payne}", "--cone", "tau", "--degree", "1/2,-1/2,0",
+     "--lattice", "{half_lattice}"],
+    ["search", "{payne}", "--radius", "1"],
+    # error documents that stay as they are
+    ["certify", "{payne}", "--wall", "0,7", "--degree", "1,-1,0"],
+    ["certify", "{payne}", "--wall", "(0,0,0)", "--degree", "1,-1,0"],
+    ["fdim", "{payne}", "--cone", "tau", "--degree", "1,-1"],
+    ["multival", "{octahedron}", "--sigma", "7"],
+]
+
+
+def _run(argv):
+    from conewise.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _write_fixtures(root: Path) -> dict:
+    from conewise.jsonio import dumps, lattice_to_obj
+    from conewise.linalg import Sublattice
+
+    paths = {}
+    for name in FIXTURES:
+        code, out, _ = _run(["builders", name])
+        assert code == 0
+        (root / ("%s.json" % name)).write_text(out)
+        paths[name] = str(root / ("%s.json" % name))
+    half = Sublattice.standard(3).add_generator(
+        (Fraction(1, 2), Fraction(-1, 2), Fraction(0)))
+    (root / "half.json").write_text(dumps(lattice_to_obj(half)))
+    paths["half_lattice"] = str(root / "half.json")
+    return paths
+
+
+def _digest(argv, paths):
+    code, out, err = _run([a.format(**paths) for a in argv])
+    return {"argv": argv, "exit": code, "stdout": _sha(out), "stderr": _sha(err)}
+
+
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory):
+    return _write_fixtures(tmp_path_factory.mktemp("golden"))
+
+
+GOLDEN = json.loads(DATA.read_text()) if DATA.exists() else []
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=[" ".join(e["argv"]) for e in GOLDEN])
+def test_output_matches_golden(entry, paths):
+    assert _digest(entry["argv"], paths) == entry
+
+
+def test_corpus_lists_every_job():
+    assert [e["argv"] for e in GOLDEN] == JOBS
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        found = _write_fixtures(Path(tmp))
+        rows = [_digest(argv, found) for argv in JOBS]
+    DATA.write_text("[\n" + ",\n".join(json.dumps(r) for r in rows) + "\n]\n")
+    print("recorded %d entries in %s" % (len(rows), DATA))

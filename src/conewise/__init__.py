@@ -15,12 +15,10 @@ from .cpl import CPLFunction, CPLSpace, CountReport, cpl_space, counting_certifi
 from .danilov import (
     GradedPieceReport,
     H1Certificate,
-    Polyhedron,
     f_dim,
     find_h1_witness,
     h1_wall_certificate,
     image_lattice,
-    lattice_points_span,
     tilde_omega_dim,
 )
 from .dichotomy import (

@@ -298,9 +298,26 @@ def _error_json(exc: Exception) -> str:
     return jsonio.dumps(payload)
 
 
+_VECTOR_OPTIONS = ("--degree", "--wall", "--cone")
+
+
+def _attach_vector_values(argv: list[str]) -> list[str]:
+    """``--degree -1,2,1`` as ``--degree=-1,2,1``: argparse takes a separate
+    value with a leading minus for an option and refuses it."""
+    out = []
+    for arg in argv:
+        if (out and out[-1] in _VECTOR_OPTIONS and arg.startswith("-")
+                and arg[1:2].isdigit()):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_vector_values(
+        sys.argv[1:] if argv is None else list(argv)))
     args._t0 = time.monotonic()
     args._input = None
     try:

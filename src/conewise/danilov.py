@@ -14,14 +14,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, lcm
 from typing import Sequence
 
-from .cones import Cone, _halfspaces_to_rays
+from .cones import Cone
 from .errors import (
     DegreeNotInCone,
     DegreeNotInLattice,
-    EmptyPolyhedron,
     NotAWall,
     NotComplete,
     NotFullRank,
@@ -32,125 +30,10 @@ from .linalg import (
     RatVec,
     Sublattice,
     dot,
-    span_lattice,
-    sup_norm,
-    vec_neg,
+    hermite_normal_form,
+    is_zero_vec,
+    vec_mat,
 )
-
-
-class Polyhedron:
-    """A rational polyhedron ``{x : a_i . x >= c_i}`` with exact data.
-
-    The V-description (minimal-face representatives, recession rays,
-    lineality) is derived once through the homogenization cone and cached.
-    """
-
-    def __init__(self, inequalities: Sequence[tuple[Sequence[int], Fraction]],
-                 ambient_rank: int):
-        rows = []
-        for a, c in inequalities:
-            a = tuple(int(x) for x in a)
-            c = Fraction(c)
-            if len(a) != ambient_rank:
-                raise ValueError("inequality length mismatch")
-            rows.append((a, c))
-        self.ambient_rank = ambient_rank
-        self.inequalities = tuple(rows)
-        self._vrep = None
-
-    def contains(self, x: Sequence) -> bool:
-        x = tuple(Fraction(v) for v in x)
-        return all(dot(a, x) >= c for a, c in self.inequalities)
-
-    def v_description(self):
-        """Returns (vertices, rays, lineality).
-
-        Vertices are exact rational points, one per minimal face; rays and
-        lineality generators are primitive integer vectors.  With nonempty
-        lineality the "vertices" are canonical representatives of the
-        minimal faces rather than honest vertices.
-        """
-        if self._vrep is not None:
-            return self._vrep
-        n = self.ambient_rank
-        hom_rows = []
-        for a, c in self.inequalities:
-            den = c.denominator
-            hom_rows.append(tuple(den * x for x in a) + (-int(c * den),))
-        hom_rows.append(tuple([0] * n) + (1,))
-        lin, rays, _ = _halfspaces_to_rays(hom_rows, n + 1)
-        for b in lin:
-            if b[n] != 0:
-                raise AssertionError("lineality escaped the t >= 0 constraint")
-        lineality = tuple(r[:n] for r in lin)
-        vertices = []
-        recession = []
-        for r in rays:
-            t = r[n]
-            if t > 0:
-                vertices.append(tuple(Fraction(x, t) for x in r[:n]))
-            else:
-                recession.append(r[:n])
-        self._vrep = (tuple(vertices), tuple(recession), lineality)
-        return self._vrep
-
-    def is_empty(self) -> bool:
-        vertices, _, _ = self.v_description()
-        return not vertices
-
-
-def cone_shifted_reflection(cone: Cone, m: Sequence) -> Polyhedron:
-    """The polyhedron ``sigma^v intersect (-sigma^v + m)``.
-
-    Its defining system is ``0 <= <g, x> <= <g, m>`` over the generators g
-    of sigma, which is exactly the set of degrees q with both q and m - q in
-    the dual cone.
-    """
-    m = tuple(Fraction(x) for x in m)
-    rows = []
-    for g in cone.generators:
-        rows.append((g, Fraction(0)))
-        rows.append((vec_neg(g), -dot(g, m)))
-    return Polyhedron(rows, cone.ambient_rank)
-
-
-def _axis_bounds(polyhedron: Polyhedron, bound: int):
-    """Per-axis enumeration ranges: the recession cone leaves an axis
-    bounded exactly when all its generators vanish there, and then the
-    vertex hull gives sharp bounds."""
-    vertices, rays, lineality = polyhedron.v_description()
-    n = polyhedron.ambient_rank
-    spans = list(rays) + list(lineality) + [vec_neg(l) for l in lineality]
-    out = []
-    for t in range(n):
-        lo, hi = -Fraction(bound), Fraction(bound)
-        neg_free = any(r[t] < 0 for r in spans)
-        pos_free = any(r[t] > 0 for r in spans)
-        if not neg_free:
-            lo = max(lo, min(v[t] for v in vertices))
-        if not pos_free:
-            hi = min(hi, max(v[t] for v in vertices))
-        out.append((lo, hi))
-    return out
-
-
-def lattice_points_in(polyhedron: Polyhedron, lattice: Sublattice,
-                      bound: int) -> list[RatVec]:
-    """All points of the lattice inside the polyhedron with sup-norm at most
-    ``bound`` (sharpened to the vertex ranges on axes the recession cone
-    leaves bounded)."""
-    den = lattice.den
-    return [tuple(Fraction(x, den) for x in y)
-            for y in _enumerate_scaled(polyhedron, lattice, bound)]
-
-
-def _enumerate_scaled(polyhedron: Polyhedron, lattice: Sublattice,
-                      bound: int) -> list[tuple[int, ...]]:
-    """The same point set as :func:`lattice_points_in`, scaled by the
-    lattice denominator so every coordinate is an integer."""
-    if polyhedron.is_empty():
-        return []
-    return _lattice_points_grid(polyhedron, lattice, bound)
 
 
 def _is_standard(lattice: Sublattice) -> bool:
@@ -158,141 +41,8 @@ def _is_standard(lattice: Sublattice) -> bool:
             and lattice.basis_int == Sublattice.standard(lattice.ambient_rank).basis_int)
 
 
-def _lattice_points_grid(polyhedron: Polyhedron, lattice: Sublattice,
-                         bound: int) -> list[RatVec]:
-    n = polyhedron.ambient_rank
-    den = lattice.den
-    # y = den * x runs over an integer grid; scaling each constraint by the
-    # denominator of den*c keeps the hot loop in pure integer arithmetic
-    scaled_rows = []
-    for a, c in polyhedron.inequalities:
-        cc = c * den
-        k = cc.denominator
-        scaled_rows.append((tuple(k * x for x in a), int(cc * k)))
-    ranges = []
-    for lo, hi in _axis_bounds(polyhedron, bound):
-        lo_i = ceil(lo * den)
-        hi_i = floor(hi * den)
-        if lo_i > hi_i:
-            return []
-        ranges.append(range(lo_i, hi_i + 1))
-    standard = _is_standard(lattice)
-    points = []
-    for y in itertools.product(*ranges):
-        if all(dot(a, y) >= c for a, c in scaled_rows):
-            if standard or _in_scaled_lattice(lattice, y):
-                points.append(y)
-    return points
-
-
-def _in_scaled_lattice(lattice: Sublattice, y: Sequence[int]) -> bool:
-    res = list(y)
-    for row in lattice.basis_int:
-        c = next(j for j, x in enumerate(row) if x != 0)
-        if res[c] % row[c] != 0:
-            return False
-        q = res[c] // row[c]
-        if q:
-            res = [a - q * b for a, b in zip(res, row)]
-    return all(x == 0 for x in res)
-
-
-def lattice_points_span(polyhedron: Polyhedron, lattice: Sublattice) -> Sublattice:
-    """Span of the lattice points of a polyhedron.
-
-    A lineality space is split off exactly first: the point set is a union
-    of full cosets of the lattice's lineality part, so its span is that part
-    plus a lifted copy of the span computed in the lineality-free quotient.
-    In the quotient the initial box radius comes from the vertex sup-norms
-    plus the sup-norms of the primitive recession generators; the box then
-    doubles until the computed span is stable across three consecutive
-    sizes.  The chain of spans lives inside a fixed finitely generated
-    lattice, so it stabilizes; the stopping rule is certified against the
-    brute-force oracle in the test suite at the scales this library targets.
-    """
-    if polyhedron.is_empty():
-        raise EmptyPolyhedron("polyhedron has no points")
-    _, _, lineality = polyhedron.v_description()
-    if lineality:
-        return _span_with_lineality_collapsed(polyhedron, lattice, lineality)
-    vertices, rays, _ = polyhedron.v_description()
-    b0 = ceil(max(max(abs(x) for x in v) for v in vertices))
-    b0 += sum(sup_norm(r) for r in rays)
-    b0 = max(b0, 1)
-    spans = []
-    bound = b0
-    while True:
-        pts = _enumerate_scaled(polyhedron, lattice, bound)
-        spans.append(_span_of_scaled_points(pts, polyhedron.ambient_rank,
-                                            lattice.den))
-        if len(spans) >= 3 and spans[-1] == spans[-2] == spans[-3]:
-            return spans[-1]
-        bound *= 2
-
-
-def _span_with_lineality_collapsed(polyhedron: Polyhedron, lattice: Sublattice,
-                                   lineality) -> Sublattice:
-    """Exact reduction to the lineality-free quotient.
-
-    In coordinates given by a basis of the (full-rank) working lattice, the
-    lattice elements inside the lineality space form a saturated sublattice;
-    a unimodular chart adapted to it turns membership into integrality of
-    plain coordinates.  Every constraint vanishes on the lineality, so the
-    quotient variables see a polyhedron with trivial lineality, and the
-    total span is the lineality part plus the section image of the quotient
-    span.
-    """
-    from .linalg import quotient_chart, right_kernel, vec_mat
-
-    n = polyhedron.ambient_rank
-    if lattice.rank != n:
-        raise NotFullRank("span computation needs a full-rank working lattice")
-    basis = lattice.basis
-    ann = span_lattice(lineality, n).annihilator()
-    if ann.rank == 0:
-        return lattice
-    pairing = [[dot(b, a) for b in basis] for a in ann.basis_int]
-    den = lcm(*(x.denominator for row in pairing for x in row))
-    k_z = right_kernel([[int(x * den) for x in row] for row in pairing], n)
-    w_z, _ = quotient_chart(k_z, n)
-    k = len(k_z)
-    chart = [vec_mat(w_z[i], basis) for i in range(n)]
-    lineality_part = Sublattice.from_rows(n, chart[:k])
-    quotient_rows = []
-    for a, c in polyhedron.inequalities:
-        coeffs = [dot(chart[i], a) for i in range(k, n)]
-        cden = lcm(Fraction(c).denominator,
-                   *(x.denominator for x in coeffs))
-        quotient_rows.append((tuple(int(x * cden) for x in coeffs),
-                              Fraction(c) * cden))
-    quotient_poly = Polyhedron(quotient_rows, n - k)
-    quotient_span = lattice_points_span(quotient_poly,
-                                        Sublattice.standard(n - k))
-    lifted = [vec_mat(row, chart[k:]) for row in quotient_span.basis]
-    if not lifted:
-        return lineality_part
-    return lineality_part.sum(Sublattice.from_rows(n, lifted))
-
-
-def _span_of_scaled_points(points, n: int, den: int) -> Sublattice:
-    """Fold den-scaled integer points into a running integer HNF basis.
-
-    Membership against the running basis is a pure integer pivot solve, and
-    re-normalization only ever touches a matrix of at most rank+1 rows, so
-    large enumerations stay cheap."""
-    from .linalg import hermite_normal_form, is_zero_vec
-
-    basis: list[tuple[int, ...]] = []
-    for y in points:
-        if _int_span_member(basis, y):
-            continue
-        h, _ = hermite_normal_form(basis + [list(y)])
-        basis = [row for row in h if not is_zero_vec(row)]
-    return Sublattice.from_rows(n, [[Fraction(x, den) for x in row]
-                                    for row in basis])
-
-
 def _int_span_member(basis, y) -> bool:
+    """Whether the integer vector y lies in the span of an integer HNF basis."""
     res = list(y)
     for row in basis:
         c = next(j for j, x in enumerate(row) if x != 0)
@@ -302,6 +52,29 @@ def _int_span_member(basis, y) -> bool:
         if q:
             res = [a - q * b for a, b in zip(res, row)]
     return all(x == 0 for x in res)
+
+
+def _fibre_range(h, y, box, columns) -> tuple[int, int]:
+    """The t with ``0 <= y[c] + t*h[c] <= box[c]`` on every given column, as
+    ``(lo, hi)``; the first column is h's pivot, so the range is finite."""
+    c0 = columns[0]
+    lo, hi = -(y[c0] // h[c0]), (box[c0] - y[c0]) // h[c0]
+    for c in columns[1:]:
+        a, b, u = h[c], y[c], box[c]
+        if a > 0:
+            lo, hi = max(lo, -(b // a)), min(hi, (u - b) // a)
+        elif a < 0:
+            lo, hi = max(lo, -((u - b) // -a)), min(hi, b // -a)
+        elif not 0 <= b <= u:
+            return 1, 0
+    return lo, hi
+
+
+def _outward(lo: int, hi: int):
+    """The integers of ``[lo, hi]`` by distance from 0."""
+    for pair in itertools.zip_longest(range(max(lo, 0), hi + 1),
+                                      range(min(hi, -1), lo - 1, -1)):
+        yield from (t for t in pair if t is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +100,10 @@ def tilde_omega_dim(cone: Cone, m: Sequence, lattice: Sublattice) -> int:
     dual = cone.dual()
     if not dual.contains(m):
         return 0
+    return _face_span_rank(dual, m, lattice)
+
+
+def _face_span_rank(dual: Cone, m: RatVec, lattice: Sublattice) -> int:
     face = dual.smallest_face_containing(m)
     gens = list(face.rays) + list(face.lineality)
     if not gens:
@@ -335,13 +112,87 @@ def tilde_omega_dim(cone: Cone, m: Sequence, lattice: Sublattice) -> int:
 
 
 def image_lattice(cone: Cone, m: Sequence, lattice: Sublattice) -> Sublattice:
-    """Span of the degrees q with q and m - q both in the dual cone."""
+    """Span of the degrees q with q and m - q both in the dual cone: the
+    lattice points of ``P = sigma^v meet (m - sigma^v)``, computed in pairing
+    coordinates.
+
+    The identity.  Let g_1..g_k be the generators of sigma (its rays and both
+    signs of its lineality basis), ``pi(x) = (<g_i, x>)_i``, ``Lambda =
+    pi(L)`` for the working lattice L, and ``B = prod [0, <g_i, m>]``.  P is
+    cut out by these pairings alone, so ``P meet L = pi^-1(Lambda meet B)``
+    exactly.  The kernel of pi, ``sigma^perp meet L``, maps to 0, which lies
+    in B, so it lies in P and ``span(P meet L) = pi^-1(span(Lambda meet
+    B))``.  B is a finite box, so one finite enumeration gives the span
+    exactly: no V-description, emptiness test or stopping rule is needed.
+
+    The enumeration.  With the HNF basis h_1..h_s of Lambda (scaled by the
+    lattice denominator), a point is ``sum t_j h_j``.  The basis is
+    triangular, so the columns from h_j's pivot up to the next pivot are
+    fixed once t_1..t_j are, and the box bounds t_j to an interval given
+    t_1..t_(j-1).  Fibre by fibre, each interval walked outward from 0, the
+    points are folded into a running span S in t-coordinates; the point list
+    is never built.
+
+    The early exit.  If S holds a point with prefix t_1..t_j and the whole
+    fibre lattice ``0 x Z^(s-j)``, it holds every point with that prefix,
+    and the rest of the fibre is skipped.  At j = 0 this says S is all of
+    Lambda: the enumeration stops there, and the span is L itself.
+    """
     m = tuple(Fraction(x) for x in m)
     if not lattice.contains(m):
         raise DegreeNotInLattice("degree %s is not in the lattice" % (m,))
     if not cone.dual().contains(m):
         raise DegreeNotInCone("degree %s is not in the dual cone" % (m,))
-    return lattice_points_span(cone_shifted_reflection(cone, m), lattice)
+    return _pairing_span(cone, m, lattice)
+
+
+def _pairing_span(cone: Cone, m: RatVec, lattice: Sublattice) -> Sublattice:
+    """:func:`image_lattice` for a degree m already known to lie in the
+    lattice and in the dual cone.  A working lattice of lower rank is
+    refused when P has lineality (sigma not full-dimensional)."""
+    n, den = lattice.ambient_rank, lattice.den
+    if lattice.rank != n and cone.dim != n:
+        raise NotFullRank("span computation needs a full-rank working lattice")
+    # narrowest sides first, so that pinned pairings fix the outer fibres
+    cols = sorted((int(dot(g, m) * den), g) for g in cone.generators)
+    box = [u for u, _ in cols]
+    h, u_mat = hermite_normal_form([[dot(g, b) for _, g in cols]
+                                    for b in lattice.basis_int])
+    s = sum(1 for row in h if not is_zero_vec(row))
+    pivots = [next(c for c, x in enumerate(row) if x) for row in h[:s]]
+    bands = [range(p, q) for p, q in zip(pivots, pivots[1:] + [len(cols)])]
+    span: list[tuple[int, ...]] = []
+
+    def holds_fibre(j: int) -> bool:
+        """Whether S contains ``0 x Z^(s-j)``: the HNF rows of S with pivots
+        j..s-1 are all there, each with pivot 1."""
+        tail = span[len(span) - (s - j):]
+        return len(tail) == s - j and all(
+            row[j + i] == 1 and not any(row[:j + i]) for i, row in enumerate(tail))
+
+    def walk(j: int, t: tuple, y: list) -> bool:
+        """Folds in the points with prefix t; whether there are any."""
+        nonlocal span
+        if j == s:
+            if not _int_span_member(span, t):
+                span = [row for row in hermite_normal_form(span + [t])[0]
+                        if not is_zero_vec(row)]
+            return True
+        found = False
+        for v in _outward(*_fibre_range(h[j], y, box, bands[j])):
+            if found and holds_fibre(j):
+                break
+            found |= walk(j + 1, t + (v,),
+                          [a + v * b for a, b in zip(y, h[j])])
+        return found
+
+    walk(0, (), [0] * len(cols))
+    if holds_fibre(0):
+        return lattice
+    # pi^-1(S): the lifts of S's rows plus the kernel, in lattice coordinates
+    coords = [vec_mat(t, u_mat[:s]) for t in span] + list(u_mat[s:])
+    return Sublattice.from_rows(n, [[Fraction(x, den) for x in vec_mat(c, lattice.basis_int)]
+                                    for c in coords])
 
 
 def f_dim(cone: Cone, m: Sequence, lattice: Sublattice) -> GradedPieceReport:
@@ -353,12 +204,13 @@ def f_dim(cone: Cone, m: Sequence, lattice: Sublattice) -> GradedPieceReport:
     m = tuple(Fraction(x) for x in m)
     if not lattice.contains(m):
         raise DegreeNotInLattice("degree %s is not in the lattice" % (m,))
-    if not cone.dual().contains(m):
+    dual = cone.dual()
+    if not dual.contains(m):
         return GradedPieceReport(degree=m, dim_tilde=0,
                                  image_lattice=Sublattice.zero(cone.ambient_rank),
                                  dim_f=0)
-    dim_tilde = tilde_omega_dim(cone, m, lattice)
-    image = image_lattice(cone, m, lattice)
+    dim_tilde = _face_span_rank(dual, m, lattice)
+    image = _pairing_span(cone, m, lattice)
     dim_f = dim_tilde - image.rank
     if dim_f < 0:
         raise AssertionError("image rank exceeds the ambient graded dimension")
@@ -433,7 +285,11 @@ def h1_wall_certificate(fan: Fan, wall, m: Sequence,
         raise NotAWall("cone %s lies in %d maximal cones, not 2" %
                        (fc.ray_indices, len(owners)))
     m = tuple(Fraction(x) for x in m)
-    wall_report = f_dim(fc.cone, m, lattice)
+    return _certificate(fan, fc, owners, m, lattice, f_dim(fc.cone, m, lattice))
+
+
+def _certificate(fan: Fan, fc: FanCone, owners, m: RatVec, lattice: Sublattice,
+                 wall_report: GradedPieceReport) -> H1Certificate:
     s1 = f_dim(fan.maximal_cones[owners[0]], m, lattice)
     s2 = f_dim(fan.maximal_cones[owners[1]], m, lattice)
     valid = s1.dim_f == 0 and s2.dim_f == 0 and wall_report.dim_f >= 1
@@ -459,7 +315,7 @@ def lattice_points_by_shell(lattice: Sublattice, radius: int | None = None):
     for s in itertools.count() if radius is None else range(radius * den + 1):
         for y in itertools.product(range(-s, s + 1), repeat=lattice.ambient_rank):
             if (max(map(abs, y), default=0) == s
-                    and (standard or _in_scaled_lattice(lattice, y))):
+                    and (standard or _int_span_member(lattice.basis_int, y))):
                 yield tuple(Fraction(x, den) for x in y)
 
 
@@ -484,10 +340,16 @@ def find_h1_witness(fan: Fan, lattice: Sublattice | None = None,
     out = []
     for fc in fan.cones_of_dim(2):
         dual = fc.cone.dual()
+        owners = fan.maximal_cones_containing(fc)
         for m in degrees:
             if not dual.in_relative_interior(m):
                 continue
-            cert = h1_wall_certificate(fan, fc, m, lattice)
+            # a wall piece with dim_f = 0 never certifies, whatever the
+            # neighbours give, so their reports are skipped
+            wall_report = f_dim(fc.cone, m, lattice)
+            if wall_report.dim_f == 0:
+                continue
+            cert = _certificate(fan, fc, owners, m, lattice, wall_report)
             if cert.valid:
                 out.append(cert)
     return out

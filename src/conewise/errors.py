@@ -65,10 +65,6 @@ class DegreeNotInCone(ConewiseError):
     pass
 
 
-class EmptyPolyhedron(ConewiseError):
-    pass
-
-
 class NotAWall(ConewiseError):
     pass
 

@@ -8,7 +8,6 @@ data always produces identical output.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -26,10 +25,6 @@ from .linalg import (
     vec_mat,
     vec_neg,
 )
-
-_SAMPLE_SEED = 988829
-_SAMPLE_COUNT = 100
-
 
 @dataclass(frozen=True)
 class FanCone:
@@ -198,57 +193,32 @@ def validate(fan: Fan) -> ValidationReport:
     return report
 
 
-def _sample_directions(n: int):
-    rng = random.Random(_SAMPLE_SEED)
-    out = []
-    while len(out) < _SAMPLE_COUNT:
-        v = tuple(Fraction(rng.randint(-97, 97), rng.randint(1, 13))
-                  for _ in range(n))
-        if any(x != 0 for x in v):
-            out.append(v)
-    return out
-
-
 def is_complete(fan: Fan) -> bool:
-    """Purity, two maximal cones per wall, connected wall graph, plus a
-    deterministic pseudo-random membership sample over the ambient space."""
+    """Whether the valid fan is complete, decided as: it has a maximal cone,
+    every maximal cone is full-dimensional, and every wall (codimension-1
+    cone) lies in exactly two maximal cones.
+
+    These conditions imply that the support |F| is all of R^n.  |F| is closed.  A point
+    x of its boundary lies in the relative interior of some cone of F, which
+    is not full-dimensional (x would be interior) and not a wall: the wall's
+    two maximal cones meet in the wall (the fan is valid), so they lie on
+    opposite sides of its hyperplane and cover a neighbourhood of x.  So the
+    boundary lies in W, the union of the spans of the cones of codimension
+    at least 2, whose complement is connected.  That complement is the
+    disjoint union of its open parts inside int|F| and outside |F|; the
+    first is not empty, so the second is empty.  Hence R^n - |F| lies in W
+    and, being open, is empty.
+    """
     if not validate(fan).ok:
         raise InvalidFan("fan does not satisfy the fan axioms")
-    if fan._complete is not None:
-        return fan._complete
-    fan._complete = _is_complete_uncached(fan)
+    if fan._complete is None:
+        n = fan.ambient_rank
+        fan._complete = (
+            bool(fan.maximal_cones)
+            and all(c.dim == n for c in fan.maximal_cones)
+            and all(len(fan.maximal_cones_containing(wall)) == 2
+                    for wall in fan.cones_of_dim(n - 1)))
     return fan._complete
-
-
-def _is_complete_uncached(fan: Fan) -> bool:
-    n = fan.ambient_rank
-    if any(c.dim != n for c in fan.maximal_cones):
-        return False
-    adjacency = {k: set() for k in range(len(fan.maximal_cones))}
-    for wall in fan.cones_of_dim(n - 1):
-        owners = fan.maximal_cones_containing(wall)
-        if len(owners) != 2:
-            return False
-        a, b = owners
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    if fan.maximal_cones:
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for k in frontier:
-                for other in adjacency[k]:
-                    if other not in seen:
-                        seen.add(other)
-                        nxt.append(other)
-            frontier = nxt
-        if len(seen) != len(fan.maximal_cones):
-            return False
-    for v in _sample_directions(n):
-        if not any(c.contains(v) for c in fan.maximal_cones):
-            return False
-    return True
 
 
 def stats(fan: Fan) -> FanStats:

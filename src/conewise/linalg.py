@@ -46,10 +46,6 @@ def is_zero_vec(u: Sequence) -> bool:
     return all(a == 0 for a in u)
 
 
-def sup_norm(u: Sequence):
-    return max((abs(a) for a in u), default=0)
-
-
 def primitive_vector(u: Sequence) -> IntVec:
     """Scale a nonzero rational vector to its primitive integer form.
 
@@ -132,13 +128,12 @@ def invert_fraction_matrix(rows: Sequence[Sequence]) -> tuple[RatVec, ...]:
 
 
 def invert_unimodular(rows: Sequence[Sequence[int]]) -> tuple[IntVec, ...]:
-    inv = invert_fraction_matrix(rows)
-    out = []
-    for row in inv:
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular")
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
+    """Inverse of a unimodular integer matrix, in integers: its HNF is the
+    identity, so the transform U with ``H == U @ V`` is ``V^-1``."""
+    h, u = hermite_normal_form(rows)
+    if h != tuple(tuple(row) for row in mat_identity(len(h))):
+        raise ValueError("matrix is not unimodular")
+    return u
 
 
 # ---------------------------------------------------------------------------

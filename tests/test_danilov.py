@@ -6,27 +6,23 @@ import pytest
 
 from conewise.cones import Cone, intersect
 from conewise.danilov import (
-    Polyhedron,
-    cone_shifted_reflection,
     f_dim,
     find_h1_witness,
     h1_wall_certificate,
     image_lattice,
-    lattice_points_in,
     lattice_points_by_shell,
     lattice_points_in_box,
-    lattice_points_span,
     tilde_omega_dim,
 )
 from conewise.errors import (
     DegreeNotInCone,
     DegreeNotInLattice,
-    EmptyPolyhedron,
     NotAWall,
     NotComplete,
+    NotFullRank,
 )
-from conewise.linalg import Sublattice, span_lattice, vec_add, vec_scale
-from helpers import apply_unimodular, numpy_span_oracle, random_unimodular
+from conewise.linalg import Sublattice, dot, span_lattice, vec_add, vec_scale
+from helpers import apply_unimodular, numpy_span_oracle, random_unimodular, solve_exact
 
 Z3 = Sublattice.standard(3)
 M = (1, -1, 0)
@@ -88,6 +84,12 @@ class TestImageLattice:
         with pytest.raises(DegreeNotInCone):
             image_lattice(SIGMA1, M, Z3)
 
+    def test_lower_rank_lattice(self):
+        plane = span_lattice([(1, -1, 0), (0, 0, 1)])
+        assert image_lattice(SIGMA2, M, plane) == span_lattice([M])
+        with pytest.raises(NotFullRank):
+            image_lattice(TAU, M, plane)
+
 
 class TestFDim:
     def test_paper_triple(self):
@@ -143,90 +145,115 @@ class TestFDim:
 
 
 class TestPolyhedron:
-    def test_h_v_membership_agreement(self):
-        rng = random.Random(71)
-        done = 0
-        while done < 30:
-            n = rng.randint(2, 3)
-            rows = []
-            for _ in range(rng.randint(2, 5)):
-                a = tuple(rng.randint(-3, 3) for _ in range(n))
-                if not any(a):
-                    continue
-                rows.append((a, Fraction(rng.randint(-4, 0))))
-            if not rows:
-                continue
-            p = Polyhedron(rows, n)
-            vertices, rays, lineality = p.v_description()
-            for v in vertices:
-                assert p.contains(v)
-            for v in vertices:
-                for r in rays:
-                    assert p.contains(vec_add(v, r))
-                for l in lineality:
-                    assert p.contains(vec_add(v, l))
-                    assert p.contains(vec_add(v, vec_scale(-1, l)))
-            done += 1
+    """The span of the lattice points of P = sigma^v meet (m - sigma^v)."""
+
+    QUADRANT = Cone.from_generators([(1, 0), (0, 1)])
 
     def test_segment_span_rank_zero(self):
-        p = Polyhedron([((1, 0), Fraction(0)), ((-1, 0), Fraction(-1, 2)),
-                        ((0, 1), Fraction(0)), ((0, -1), Fraction(0))], 2)
-        assert lattice_points_span(p, Sublattice.standard(2)).rank == 0
+        # m = 0 pins every pairing: P meet L is the origin
+        assert image_lattice(self.QUADRANT, (0, 0), Sublattice.standard(2)).rank == 0
+        assert image_lattice(SIGMA1, (0, 0, 0), Z3) == Sublattice.zero(3)
 
     def test_unit_square_span(self):
-        p = Polyhedron([((1, 0), Fraction(0)), ((-1, 0), Fraction(-1)),
-                        ((0, 1), Fraction(0)), ((0, -1), Fraction(-1))], 2)
-        assert lattice_points_span(p, Sublattice.standard(2)).rank == 2
+        lat = Sublattice.standard(2)
+        assert image_lattice(self.QUADRANT, (1, 1), lat) == lat
 
     def test_wall_strip_span(self):
-        p = cone_shifted_reflection(TAU, M)
-        assert lattice_points_span(p, Z3).rank == 2
+        # a short span: every point of the box lies on the line through pi(m)
+        lat = image_lattice(TAU, M, Z3)
+        assert lat.rank == 2
+        assert lat.basis_int == ((1, 0, 0), (0, 1, 0))
 
     def test_empty_polyhedron(self):
-        p = Polyhedron([((1, 0), Fraction(1)), ((-1, 0), Fraction(1))], 2)
-        assert p.is_empty()
-        with pytest.raises(EmptyPolyhedron):
-            lattice_points_span(p, Sublattice.standard(2))
+        # P is empty exactly when m is outside the dual cone
+        with pytest.raises(DegreeNotInCone):
+            image_lattice(self.QUADRANT, (-1, 1), Sublattice.standard(2))
 
     def test_span_against_box_oracle_small(self):
         run_span_oracle_trials(40, random.Random(73))
 
+    def test_span_against_box_oracle_ranks_2_to_4(self):
+        assert run_span_oracle_trials(60, random.Random(74), ranks=(2, 3, 4)) == 60
+
     def test_rational_lattice_enumeration(self):
         m_prime = Sublattice.standard(2).add_generator(
             (Fraction(1, 2), Fraction(1, 2)))
-        p = Polyhedron([((1, 0), Fraction(0)), ((-1, 0), Fraction(-1, 2)),
-                        ((0, 1), Fraction(0)), ((0, -1), Fraction(-1, 2))], 2)
-        pts = set(lattice_points_in(p, m_prime, 2))
-        assert pts == {(Fraction(0), Fraction(0)),
-                       (Fraction(1, 2), Fraction(1, 2))}
+        half = (Fraction(1, 2), Fraction(1, 2))
+        # P = [0, 1/2]^2 holds the lattice points 0 and (1/2, 1/2)
+        assert image_lattice(self.QUADRANT, half, m_prime) == span_lattice([half])
 
 
-def run_span_oracle_trials(target, rng, oracle_box=28):
-    """Random polyhedra with coefficients up to 8; the library's doubling
-    enumeration must match the flat numpy box scan."""
+def _lattices(n):
+    """The standard lattice, two overlattices and an index-2 sublattice,
+    each with a multiplier taking Z^n into it."""
+    half = [Fraction(1, 2), Fraction(-1, 2)] + [Fraction(0)] * (n - 2)
+    third = [Fraction(1, 3)] * n
+    even = [(2,) + (0,) * (n - 1), (1, 1) + (0,) * (n - 2)]
+    even += [tuple(int(i == j) for j in range(n)) for i in range(2, n)]
+    return [(Sublattice.standard(n), 1),
+            (Sublattice.standard(n).add_generator(half), 1),
+            (Sublattice.standard(n).add_generator(third), 1),
+            (span_lattice(even, n), 2)]
+
+
+def _sup_bound(gens, m, n):
+    """Sup-norm bound of P when the generators span: with n independent ones
+    as the rows of G, a point is G^-1 y with 0 <= y <= pairings of m."""
+    rows = []
+    for g in gens:
+        if span_lattice(rows + [g], n).rank > len(rows):
+            rows.append(g)
+    if len(rows) < n:
+        return None
+    columns = [list(col) for col in zip(*rows)]
+    inverse = [solve_exact(columns, [int(i == j) for i in range(n)])
+               for j in range(n)]
+    return max(sum(abs(inverse[j][i]) * dot(rows[j], m) for j in range(n))
+               for i in range(n))
+
+
+def run_span_oracle_trials(target, rng, ranks=(2, 3)):
+    """Random cones with entries up to 2 and small degrees in their dual
+    cones (sums of at most 5 - n times each dual ray, plus a short lattice
+    step), on standard and non-standard lattices: the pairing-coordinate
+    span must match the flat numpy box scan.  For a full-dimensional cone
+    P is bounded and the box is its sup-norm bound.  Otherwise (ranks 2 and
+    3 only) P holds sigma^perp, the box is three times the sup-norm of its
+    basis and at least 8, and the oracle must agree with itself on a larger
+    box."""
     done = 0
     while done < target:
-        n = rng.randint(2, 3)
-        rows = []
-        for _ in range(rng.randint(3, 6)):
-            a = tuple(rng.randint(-4, 4) for _ in range(n))
-            if not any(a):
-                continue
-            rows.append((a, Fraction(rng.randint(-8, 0))))
-        if not rows:
+        n = rng.choice(ranks)
+        gens = [tuple(rng.randint(-2, 2) for _ in range(n))
+                for _ in range(rng.randint(1, n + 2))]
+        gens = [g for g in gens if any(g)]
+        if not gens:
             continue
-        p = Polyhedron(rows, n)
-        if p.is_empty():
+        cone = Cone.from_generators(gens, n)
+        if n == 4 and cone.dim < n:
             continue
-        vertices, rays, lineality = p.v_description()
-        b0 = max(max(abs(x) for x in v) for v in vertices)
-        from conewise.linalg import sup_norm
-        b0 = int(b0) + 1 + sum(sup_norm(r) for r in rays) \
-            + sum(sup_norm(l) for l in lineality)
-        if b0 > 7:
+        lat, mult = rng.choice(_lattices(n))
+        dual = cone.dual()
+        m = (0,) * n
+        for u in dual.rays:
+            m = vec_add(m, vec_scale(mult * rng.randint(0, 5 - n), u))
+        step = (0,) * n
+        for b in lat.basis:
+            step = vec_add(step, vec_scale(rng.randint(-2, 2), b))
+        if dual.contains(vec_add(m, step)):
+            m = vec_add(m, step)
+        gens = cone.generators
+        bound = _sup_bound(gens, m, n)
+        if bound is None:
+            box = max(8, 3 * max(abs(x) for e in cone.equations for x in e))
+        else:
+            box = int(bound) + 1
+        if (2 * box * lat.den + 1) ** n > 400_000:
             continue
-        lat = Sublattice.standard(n)
-        assert lattice_points_span(p, lat) == numpy_span_oracle(p, lat, oracle_box)
+        expected = numpy_span_oracle(gens, m, lat, box)
+        if bound is None:
+            assert numpy_span_oracle(gens, m, lat, box + 4) == expected
+        assert image_lattice(cone, m, lat) == expected
         done += 1
     return done
 

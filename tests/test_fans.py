@@ -15,7 +15,12 @@ from conewise.fans import (
     validate,
 )
 from conewise.linalg import Sublattice, span_lattice
-from helpers import apply_unimodular, face_fan_facets_oracle, random_unimodular
+from helpers import (
+    apply_unimodular,
+    face_fan_facets_oracle,
+    random_unimodular,
+    sampled_completeness_oracle,
+)
 
 P1 = Fan(1, [(1,), (-1,)], [[0], [1]])
 
@@ -147,6 +152,31 @@ class TestComplete:
     def test_half_plane_pair_not_complete(self):
         fan = Fan(2, [(1, 0), (0, 1), (-1, 0)], [[0, 1], [1, 2]])
         assert not is_complete(fan)
+
+    def test_no_maximal_cone_is_not_complete(self):
+        assert not is_complete(Fan(2, [(1, 0)], []))
+
+    def test_agrees_with_sampling_oracle(self, cube_fan, octahedron_fan, payne_fan):
+        fans = [P1, cube_fan, octahedron_fan, payne_fan,
+                Fan(2, [(1, 0)], []),
+                Fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [[0, 1, 2]]),
+                Fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [[0, 1], [2]])]
+        # a complete fan with one maximal cone removed is valid and not complete
+        for fan in (cube_fan, payne_fan):
+            for k in (0, len(fan.maximal_cones) - 1):
+                cones = fan.maximal_cone_rays[:k] + fan.maximal_cone_rays[k + 1:]
+                fans.append(Fan(3, fan.rays, cones))
+        rng = random.Random(103)
+        while len(fans) < 24:
+            n = rng.choice((2, 3))
+            pts = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n + 5)]
+            try:
+                fans.append(build_face_fan([p for p in pts if any(p)]))
+            except OriginNotInterior:
+                continue
+        verdicts = [is_complete(fan) for fan in fans]
+        assert verdicts == [sampled_completeness_oracle(fan) for fan in fans]
+        assert verdicts.count(False) == 7 and verdicts.count(True) == 17
 
 
 class TestStats:

@@ -51,6 +51,24 @@ JOBS += [
     ["certify", "{payne}", "--wall", "(0,0,0)", "--degree", "1,-1,0"],
     ["fdim", "{payne}", "--cone", "tau", "--degree", "1,-1"],
     ["multival", "{octahedron}", "--sigma", "7"],
+    # large degrees, as the bigdegree benchmark draws them (seed 0)
+    ["certify", "{payne}", "--wall", "2,7", "--degree=54,36,-36"],
+    ["certify", "{payne}", "--wall", "0,4", "--degree=44,-66,0"],
+    ["certify", "{cube}", "--wall", "6,7", "--degree=60,0,-30"],
+    ["certify", "{cube}", "--wall", "0,1", "--degree=-54,0,18"],
+    # degrees on proper faces of the wall's dual cone, where P has lineality
+    ["fdim", "{payne}", "--cone", "tau", "--degree", "3,0,3"],
+    ["fdim", "{payne}", "--cone", "tau", "--degree", "2,2,0"],
+    # a 1-cone, a simplicial and a non-simplicial 3-cone
+    ["fdim", "{payne}", "--cone", "7", "--degree", "3,-1,2"],
+    ["fdim", "{payne}", "--cone", "1,5,7", "--degree", "0,-2,3"],
+    ["fdim", "{payne}", "--cone", "sigma1", "--degree", "5,-1,0"],
+    # the half lattice at larger degrees
+    ["certify", "{payne}", "--wall", "4,5", "--degree", "5/2,3/2,0",
+     "--lattice", "{half_lattice}"],
+    ["certify", "{payne}", "--wall", "4,5", "--degree", "7/2,-9/2,1",
+     "--lattice", "{half_lattice}"],
+    ["fdim", "{payne}", "--cone", "4,5", "--degree=100,-100,0"],
 ]
 
 

@@ -303,11 +303,14 @@ _VECTOR_OPTIONS = ("--degree", "--wall", "--cone")
 
 def _attach_vector_values(argv: list[str]) -> list[str]:
     """``--degree -1,2,1`` as ``--degree=-1,2,1``: argparse takes a separate
-    value with a leading minus for an option and refuses it."""
+    value with a leading minus for an option and refuses it.  An abbreviated
+    option such as ``--deg`` is matched too; no other option of the CLI
+    starts like one of these three."""
     out = []
     for arg in argv:
-        if (out and out[-1] in _VECTOR_OPTIONS and arg.startswith("-")
-                and arg[1:2].isdigit()):
+        if (out and len(out[-1]) > 2
+                and any(o.startswith(out[-1]) for o in _VECTOR_OPTIONS)
+                and arg.startswith("-") and arg[1:2].isdigit()):
             out[-1] += "=" + arg
         else:
             out.append(arg)

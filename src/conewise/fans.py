@@ -195,14 +195,16 @@ def validate(fan: Fan) -> ValidationReport:
 
 def is_complete(fan: Fan) -> bool:
     """Whether the valid fan is complete, decided as: it has a maximal cone,
-    every maximal cone is full-dimensional, and every wall (codimension-1
-    cone) lies in exactly two maximal cones.
+    every maximal cone is full-dimensional, no maximal cone is listed twice,
+    and every wall (codimension-1 cone) lies in exactly two maximal cones.
 
-    These conditions imply that the support |F| is all of R^n.  |F| is closed.  A point
-    x of its boundary lies in the relative interior of some cone of F, which
-    is not full-dimensional (x would be interior) and not a wall: the wall's
-    two maximal cones meet in the wall (the fan is valid), so they lie on
-    opposite sides of its hyperplane and cover a neighbourhood of x.  So the
+    These conditions imply that the support |F| is all of R^n.  |F| is
+    closed.  A point x of its boundary lies in the relative interior of some
+    cone of F, which is not full-dimensional (x would be interior) and not a
+    wall: the wall's two maximal cones are distinct, so (the fan being
+    valid) they meet in a proper face of each that contains the wall, that
+    is in the wall itself; so they lie on opposite sides of its hyperplane
+    and cover a neighbourhood of x.  So the
     boundary lies in W, the union of the spans of the cones of codimension
     at least 2, whose complement is connected.  That complement is the
     disjoint union of its open parts inside int|F| and outside |F|; the
@@ -216,6 +218,7 @@ def is_complete(fan: Fan) -> bool:
         fan._complete = (
             bool(fan.maximal_cones)
             and all(c.dim == n for c in fan.maximal_cones)
+            and len(set(fan.maximal_cones)) == len(fan.maximal_cones)
             and all(len(fan.maximal_cones_containing(wall)) == 2
                     for wall in fan.cones_of_dim(n - 1)))
     return fan._complete

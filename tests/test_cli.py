@@ -135,6 +135,8 @@ class TestParseBoundary:
         ["fdim", "payne", "--cone", "4,5", "--degree", "-1/2,-3/2,0"],
         ["certify", "payne", "--wall", "-1,2", "--degree", "-1,2,1"],
         ["fdim", "payne", "--cone", "-3", "--degree", "-1,2,1"],
+        ["certify", "payne", "--w", "0,2", "--deg", "-1,2,1"],
+        ["fdim", "payne", "--co", "-3", "--d", "-1,2,1"],
     ])
     def test_leading_minus_values_parse_in_both_spellings(self, fan_files, args):
         command, fan, *pairs = args
@@ -144,6 +146,12 @@ class TestParseBoundary:
         result = run_cli(spaced)
         assert result == run_cli(joined)
         assert result[0] in (0, 1) and json.loads(result[1] or result[2])
+
+    def test_abbreviated_option_with_leading_minus(self, fan_files):
+        full = run_cli(["certify", fan_files["payne"], "--wall", "0,2",
+                        "--degree=-1,2,1"])
+        assert run_cli(["certify", fan_files["payne"], "--wa", "0,2",
+                        "--deg", "-1,2,1"]) == full
 
 
 class TestOtherCommands:

@@ -156,18 +156,28 @@ class TestComplete:
     def test_no_maximal_cone_is_not_complete(self):
         assert not is_complete(Fan(2, [(1, 0)], []))
 
+    def test_repeated_maximal_cone_is_not_complete(self, cube_fan):
+        octant = Fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [[0, 1, 2], [0, 1, 2]])
+        assert validate(octant).ok and not is_complete(octant)
+        doubled = Fan(3, cube_fan.rays,
+                      cube_fan.maximal_cone_rays + cube_fan.maximal_cone_rays[:1])
+        assert validate(doubled).ok and not is_complete(doubled)
+
     def test_agrees_with_sampling_oracle(self, cube_fan, octahedron_fan, payne_fan):
         fans = [P1, cube_fan, octahedron_fan, payne_fan,
                 Fan(2, [(1, 0)], []),
                 Fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [[0, 1, 2]]),
-                Fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [[0, 1], [2]])]
+                Fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [[0, 1], [2]]),
+                Fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [[0, 1, 2], [0, 1, 2]]),
+                Fan(3, cube_fan.rays,
+                    cube_fan.maximal_cone_rays + cube_fan.maximal_cone_rays[:1])]
         # a complete fan with one maximal cone removed is valid and not complete
         for fan in (cube_fan, payne_fan):
             for k in (0, len(fan.maximal_cones) - 1):
                 cones = fan.maximal_cone_rays[:k] + fan.maximal_cone_rays[k + 1:]
                 fans.append(Fan(3, fan.rays, cones))
         rng = random.Random(103)
-        while len(fans) < 24:
+        while len(fans) < 26:
             n = rng.choice((2, 3))
             pts = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n + 5)]
             try:
@@ -176,7 +186,7 @@ class TestComplete:
                 continue
         verdicts = [is_complete(fan) for fan in fans]
         assert verdicts == [sampled_completeness_oracle(fan) for fan in fans]
-        assert verdicts.count(False) == 7 and verdicts.count(True) == 17
+        assert verdicts.count(False) == 9 and verdicts.count(True) == 17
 
 
 class TestStats:

@@ -1,8 +1,11 @@
 """Golden CLI corpus: every listed command must keep its exact output.
 
 Each entry of ``golden_digests.json`` holds an argv (``{cube}``,
-``{octahedron}``, ``{payne}`` and ``{half_lattice}`` stand for the fixture
-files), the exit code, and the sha256 of stdout and of stderr.  A refactor
+``{octahedron}``, ``{payne}``, ``{sphere5}``, ``{sphere6}`` and
+``{half_lattice}`` stand for the fixture files), the exit code, and the
+sha256 of stdout and of stderr.  ``sphereN`` is the face fan of the lattice
+points with x^2 + y^2 + z^2 = N; both are non-simplicial, and the dichotomy
+takes branch B on sphere5 and branch A on sphere6.  A refactor
 that changes any of them changes a CLI document; a change that does so on
 purpose re-records the file and names the entries it changed.
 
@@ -21,6 +24,7 @@ import pytest
 
 DATA = Path(__file__).with_name("golden_digests.json")
 FIXTURES = ("cube", "octahedron", "payne")
+SPHERES = (5, 6)
 
 JOBS = []
 for _name, _wall in (("cube", "0,1"), ("octahedron", "0,1"), ("payne", "4,5")):
@@ -69,6 +73,18 @@ JOBS += [
     ["certify", "{payne}", "--wall", "4,5", "--degree", "7/2,-9/2,1",
      "--lattice", "{half_lattice}"],
     ["fdim", "{payne}", "--cone", "4,5", "--degree=100,-100,0"],
+    # the dichotomy on both branches: index_in, dual, reindex_lattice, the
+    # nullspace and the witness choice
+    ["dichotomy", "{payne}"],
+    ["dichotomy", "{cube}"],
+    ["dichotomy", "{octahedron}"],
+    ["dichotomy", "{sphere5}"],
+    ["dichotomy", "{sphere6}"],
+    ["cpl", "{sphere6}"],
+    ["search", "{cube}", "--radius", "1"],
+    ["search", "{octahedron}", "--radius", "1"],
+    ["builders", "cube"],
+    ["builders", "octahedron"],
 ]
 
 
@@ -85,8 +101,15 @@ def _sha(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _sphere_points(r2):
+    r = range(-r2, r2 + 1)
+    return [(x, y, z) for x in r for y in r for z in r
+            if x * x + y * y + z * z == r2]
+
+
 def _write_fixtures(root: Path) -> dict:
-    from conewise.jsonio import dumps, lattice_to_obj
+    from conewise.fans import build_face_fan
+    from conewise.jsonio import dumps, fan_to_obj, lattice_to_obj
     from conewise.linalg import Sublattice
 
     paths = {}
@@ -94,6 +117,11 @@ def _write_fixtures(root: Path) -> dict:
         code, out, _ = _run(["builders", name])
         assert code == 0
         (root / ("%s.json" % name)).write_text(out)
+        paths[name] = str(root / ("%s.json" % name))
+    for r2 in SPHERES:
+        name = "sphere%d" % r2
+        fan = build_face_fan(_sphere_points(r2))
+        (root / ("%s.json" % name)).write_text(dumps(fan_to_obj(fan)))
         paths[name] = str(root / ("%s.json" % name))
     half = Sublattice.standard(3).add_generator(
         (Fraction(1, 2), Fraction(-1, 2), Fraction(0)))

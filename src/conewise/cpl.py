@@ -15,32 +15,18 @@ from math import lcm
 from typing import Sequence
 
 from .cones import intersect
-from .errors import InvalidFan, NotComplete, WrongDimension
+from .errors import CertificateInvalid, InvalidFan, NotComplete, WrongDimension
 from .fans import Fan, is_complete, stats, validate
-from .linalg import RatVec, dot, span_lattice
+from .linalg import RatVec, dot, mat_transpose, rref, span_lattice
 
 
 def _rational_nullspace(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
     """Deterministic basis of the right nullspace via reduced row echelon."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    m, pivots = rref(rows, ncols)
     basis = []
-    for c in free:
+    for c in range(ncols):
+        if c in pivots:
+            continue
         v = [Fraction(0)] * ncols
         v[c] = Fraction(1)
         for i, pc in enumerate(pivots):
@@ -135,26 +121,9 @@ def _solve_global(rays: Sequence[Sequence], values: Sequence[Fraction]):
     if not rays:
         return ()
     n = len(rays[0])
-    m = [[Fraction(x) for x in ray] + [Fraction(values[i])]
-         for i, ray in enumerate(rays)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(m)):
-        if m[i][n] != 0:
-            return None
+    m, pivots = rref([list(ray) + [values[i]] for i, ray in enumerate(rays)], n + 1)
+    if pivots and pivots[-1] == n:
+        return None
     u = [Fraction(0)] * n
     for i, c in enumerate(pivots):
         u[c] = m[i][n]
@@ -185,17 +154,12 @@ def nontrivial_cpl(fan: Fan) -> CPLFunction | None:
 
 
 def _best_global_on_independent_rays(fan: Fan, values: Sequence[Fraction]):
-    """Solve for a global functional on a maximal independent ray subset."""
-    n = fan.ambient_rank
-    chosen: list[int] = []
-    for i in range(len(fan.rays)):
-        if span_lattice([fan.rays[j] for j in chosen] + [fan.rays[i]], n).rank > len(chosen):
-            chosen.append(i)
-        if len(chosen) == n:
-            break
+    """Solve for a global functional on the pivot columns of the ray matrix."""
+    _, chosen = rref(mat_transpose(fan.rays), len(fan.rays))
     u = _solve_global([fan.rays[i] for i in chosen],
                       [values[i] for i in chosen])
-    assert u is not None
+    if u is None:
+        raise CertificateInvalid("independent rays admit no global functional")
     return u
 
 
@@ -234,6 +198,6 @@ def counting_certificate(fan: Fan) -> CountReport:
     )
     if report.all_m_rho_ge_4:
         if not (report.ineq_4f1_le_2f2 and report.ineq_f2_gt_2f1_minus_3):
-            raise AssertionError("counting chain failed on a fan satisfying "
-                                 "the neighbour hypothesis")
+            raise CertificateInvalid("counting chain failed on a fan satisfying "
+                                     "the neighbour hypothesis")
     return report

@@ -18,6 +18,7 @@ from typing import Sequence
 
 from .cones import Cone
 from .errors import (
+    CertificateInvalid,
     DegreeNotInCone,
     DegreeNotInLattice,
     NotAWall,
@@ -32,6 +33,7 @@ from .linalg import (
     dot,
     hermite_normal_form,
     is_zero_vec,
+    reduce_mod,
     vec_mat,
 )
 
@@ -39,19 +41,6 @@ from .linalg import (
 def _is_standard(lattice: Sublattice) -> bool:
     return (lattice.den == 1
             and lattice.basis_int == Sublattice.standard(lattice.ambient_rank).basis_int)
-
-
-def _int_span_member(basis, y) -> bool:
-    """Whether the integer vector y lies in the span of an integer HNF basis."""
-    res = list(y)
-    for row in basis:
-        c = next(j for j, x in enumerate(row) if x != 0)
-        if res[c] % row[c] != 0:
-            return False
-        q = res[c] // row[c]
-        if q:
-            res = [a - q * b for a, b in zip(res, row)]
-    return all(x == 0 for x in res)
 
 
 def _fibre_range(h, y, box, columns) -> tuple[int, int]:
@@ -174,7 +163,7 @@ def _pairing_span(cone: Cone, m: RatVec, lattice: Sublattice) -> Sublattice:
         """Folds in the points with prefix t; whether there are any."""
         nonlocal span
         if j == s:
-            if not _int_span_member(span, t):
+            if any(reduce_mod(t, span)):
                 span = [row for row in hermite_normal_form(span + [t])[0]
                         if not is_zero_vec(row)]
             return True
@@ -213,7 +202,7 @@ def f_dim(cone: Cone, m: Sequence, lattice: Sublattice) -> GradedPieceReport:
     image = _pairing_span(cone, m, lattice)
     dim_f = dim_tilde - image.rank
     if dim_f < 0:
-        raise AssertionError("image rank exceeds the ambient graded dimension")
+        raise CertificateInvalid("image rank exceeds the ambient graded dimension")
     return GradedPieceReport(degree=m, dim_tilde=dim_tilde,
                              image_lattice=image, dim_f=dim_f)
 
@@ -315,7 +304,7 @@ def lattice_points_by_shell(lattice: Sublattice, radius: int | None = None):
     for s in itertools.count() if radius is None else range(radius * den + 1):
         for y in itertools.product(range(-s, s + 1), repeat=lattice.ambient_rank):
             if (max(map(abs, y), default=0) == s
-                    and (standard or _int_span_member(lattice.basis_int, y))):
+                    and (standard or not any(reduce_mod(y, lattice.basis_int)))):
                 yield tuple(Fraction(x, den) for x in y)
 
 

@@ -134,8 +134,10 @@ def build_sublattice(tau: Cone, l: Sequence, lattice: Sublattice | None = None
     m_norm = n_norm.dual()
     m_prime = m_norm.add_generator(degree)
     n_prime = m_prime.dual()
-    assert dot(l_rescaled, v1) == 1 and dot(l_rescaled, v2) == 1
-    assert m_prime.contains(degree)
+    if dot(l_rescaled, v1) != 1 or dot(l_rescaled, v2) != 1:
+        raise CertificateInvalid("rescaled functional is not 1 on the wall generators")
+    if not m_prime.contains(degree):
+        raise CertificateInvalid("half degree is not in the overlattice")
     return SublatticeRefinement(
         tau=tau, l=l, n0=n0, c1=c1, c2=c2, q=q, v1=v1, v2=v2,
         l_rescaled=l_rescaled, degree=degree,
@@ -203,7 +205,9 @@ def run_dichotomy(fan: Fan, search_radius: int = 10) -> DichotomyResult:
                          % st.min_m_rho)
     ray_index = min(i for i, m in enumerate(st.m_rho) if m == 3)
     walls = [fc for fc in fan.cones_of_dim(2) if ray_index in fc.ray_indices]
-    assert len(walls) == 3
+    if len(walls) != 3:
+        raise CertificateInvalid("ray %d lies in %d walls, expected 3"
+                                 % (ray_index, len(walls)))
     lattice = Sublattice.standard(3)
     chosen = None
     failures = []

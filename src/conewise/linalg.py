@@ -5,13 +5,18 @@ Everything here runs on Python's arbitrary-precision ``int`` and
 fixed-width arithmetic anywhere.  Vectors are tuples, matrices are tuples of
 row tuples, and lattices are stored in a canonical Hermite normal form so
 that equality of lattices is equality of their stored data.
+
+Two kernels carry the reductions of the whole package: :func:`reduce_mod`,
+floor reduction modulo an HNF basis, is the only lattice membership and
+coset test, and :func:`rref` is the only rational row elimination (inverse,
+nullspace and linear solves are read off it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import NotASublattice, NotFullRank
@@ -87,43 +92,39 @@ def vec_mat(v: Sequence, a: Sequence[Sequence]) -> tuple:
     return tuple(sum(v[i] * a[i][j] for i in range(len(a))) for j in range(n))
 
 
-def fraction_det(rows: Sequence[Sequence]) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination on Fractions."""
-    n = len(rows)
+def rref(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q, pivoting on the first ``ncols``
+    columns; further columns, such as a right-hand side, are carried along.
+
+    Returns ``(rows, pivot_columns)``.  Each pivot is the first nonzero entry
+    at or below the current row.
+    """
     m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
 
 
 def invert_fraction_matrix(rows: Sequence[Sequence]) -> tuple[RatVec, ...]:
     """Exact inverse of a square matrix over the rationals."""
     n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            raise NotFullRank("matrix is singular")
-        m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [a * inv for a in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    m, pivots = rref([list(row) + [int(i == j) for j in range(n)]
+                      for i, row in enumerate(rows)], n)
+    if len(pivots) < n:
+        raise NotFullRank("matrix is singular")
     return tuple(tuple(row[n:]) for row in m)
 
 
@@ -191,6 +192,19 @@ def hermite_normal_form(a: Sequence[Sequence[int]]):
             break
     h = tuple(tuple(row) for row in rows)
     return h, tuple(tuple(row) for row in u)
+
+
+def reduce_mod(v: Sequence[int], hnf_basis: Sequence[Sequence[int]]) -> IntVec:
+    """Floor reduction of an integer vector modulo the row lattice L of an
+    integer HNF basis: the canonical representative of ``v + L``, which is
+    zero exactly when v lies in L."""
+    res = list(v)
+    for row in hnf_basis:
+        c = next(j for j, x in enumerate(row) if x != 0)
+        q = res[c] // row[c]
+        if q:
+            res = [a - q * b for a, b in zip(res, row)]
+    return tuple(res)
 
 
 def smith_normal_form(a: Sequence[Sequence[int]]):
@@ -363,26 +377,12 @@ class Sublattice:
         return tuple(tuple(Fraction(x, self.den) for x in row)
                      for row in self.basis_int)
 
-    def _solve(self, w: Sequence[Fraction]):
-        """Coordinates of w in the stored integer basis, or None."""
-        res = list(w)
-        coords = []
-        for row in self.basis_int:
-            c = next(j for j, x in enumerate(row) if x != 0)
-            x = Fraction(res[c], row[c])
-            coords.append(x)
-            if x != 0:
-                res = [r - x * b for r, b in zip(res, row)]
-        if any(r != 0 for r in res):
-            return None
-        return coords
-
     def contains(self, v: Sequence) -> bool:
-        w = [Fraction(x) * self.den for x in v]
-        if len(w) != self.ambient_rank:
+        if len(v) != self.ambient_rank:
             raise ValueError("vector length does not match ambient rank")
-        coords = self._solve(w)
-        return coords is not None and all(c.denominator == 1 for c in coords)
+        w = [Fraction(x) * self.den for x in v]
+        return (all(x.denominator == 1 for x in w)
+                and is_zero_vec(reduce_mod([int(x) for x in w], self.basis_int)))
 
     def __contains__(self, v: Sequence) -> bool:
         return self.contains(v)
@@ -433,19 +433,17 @@ class Sublattice:
         return Sublattice.from_rows(self.ambient_rank, rows)
 
     def index_in(self, other: "Sublattice") -> int:
-        """Index of self inside other; both must have the same rank."""
+        """Index of self inside other; both must have the same rank.  Both
+        HNF bases pivot on the same columns, those of their common rational
+        span, so the index is the ratio of covolumes ``prod(pivots of self) *
+        other.den**r / (prod(pivots of other) * self.den**r)``."""
         if not other.contains_lattice(self):
             raise NotASublattice("lattice is not contained in the other")
         if self.rank != other.rank:
             raise ValueError("ranks differ, index is infinite")
-        coords = []
-        for row in self.basis:
-            c = other._solve([Fraction(x) * other.den for x in row])
-            coords.append(c)
-        det = fraction_det(coords)
-        if det == 0 or det.denominator != 1:
-            raise NotASublattice("inclusion matrix is not integral")
-        return abs(int(det))
+        r = self.rank
+        return (prod(next(filter(None, row)) for row in self.basis_int) * other.den ** r
+                // (prod(next(filter(None, row)) for row in other.basis_int) * self.den ** r))
 
 
 def span_lattice(points: Sequence[Sequence], ambient_rank: int | None = None) -> Sublattice:

@@ -22,18 +22,7 @@ from .errors import (
     NotFullDimensional,
 )
 from .fans import Fan
-from .linalg import IntVec, Sublattice, span_lattice, vec_add, vec_scale
-
-
-def coset_reduce(u: Sequence[int], ann: Sublattice) -> IntVec:
-    """Canonical representative of u modulo an integer HNF lattice."""
-    v = list(int(x) for x in u)
-    for row in ann.basis_int:
-        c = next(j for j, x in enumerate(row) if x != 0)
-        q = v[c] // row[c]
-        if q:
-            v = [a - q * b for a, b in zip(v, row)]
-    return tuple(v)
+from .linalg import IntVec, Sublattice, reduce_mod, span_lattice, vec_add, vec_scale
 
 
 def _span_annihilator(cone: Cone) -> Sublattice:
@@ -46,7 +35,8 @@ def _span_annihilator(cone: Cone) -> Sublattice:
 def restrict_multiset(elements: Sequence[IntVec], cone: Cone) -> tuple[IntVec, ...]:
     """Multiset of restrictions to Span(cone), canonically represented."""
     ann = _span_annihilator(cone)
-    return tuple(sorted(coset_reduce(u, ann) for u in elements))
+    return tuple(sorted(reduce_mod([int(x) for x in u], ann.basis_int)
+                        for u in elements))
 
 
 @dataclass(frozen=True)

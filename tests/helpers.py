@@ -4,8 +4,9 @@ The oracles here deliberately avoid the library's own algorithms: cone
 membership goes through independent-subset solves, facet counting through
 bounded normal-vector search, Hermite forms through brute-force unimodular
 search, lattice point spans through a flat numpy box enumeration, cone
-conversion through an exhaustive search over row subsets, and completeness
-through random sampling of directions.
+conversion through an exhaustive search over row subsets, completeness
+through random sampling of directions, and determinants through Gaussian
+elimination on Fractions.
 """
 
 from fractions import Fraction
@@ -14,7 +15,6 @@ from itertools import combinations, product
 from conewise.linalg import (
     Sublattice,
     dot,
-    fraction_det,
     is_zero_vec,
     mat_identity,
     primitive_vector,
@@ -24,6 +24,26 @@ from conewise.linalg import (
     vec_mat,
     vec_neg,
 )
+
+
+def fraction_det(rows):
+    """Determinant by Gaussian elimination on Fractions."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c] / m[c][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return det
 
 
 def random_int_matrix(rng, rows, cols, lo=-5, hi=5):

@@ -23,7 +23,6 @@ from conewise.fans import euler_check, stats
 from conewise.linalg import (
     Sublattice,
     dot,
-    fraction_det,
     hermite_normal_form,
     mat_mul,
     smith_normal_form,
@@ -32,6 +31,7 @@ from conewise.linalg import (
 from conewise.multival import check_consistency, construct_nontrivial, triviality
 from helpers import (
     apply_unimodular,
+    fraction_det,
     is_canonical_row_hnf,
     random_int_matrix,
     random_unimodular,

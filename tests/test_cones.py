@@ -4,12 +4,13 @@ import pytest
 
 from conewise.cones import Cone, dual_cone, facet_pairs, intersect
 from conewise.errors import NotFullDimensional, NotInCone, NotPointed
-from conewise.linalg import dot, fraction_det, span_lattice
+from conewise.linalg import dot, span_lattice
 from helpers import (
     cone_contains_oracle,
     cone_oracle,
     facet_count_oracle,
     faces_oracle,
+    fraction_det,
     halfspaces_to_rays_oracle,
     random_unimodular,
 )

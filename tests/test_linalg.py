@@ -7,7 +7,6 @@ from conewise.errors import NotASublattice, NotFullRank
 from conewise.linalg import (
     Sublattice,
     dual_lattice,
-    fraction_det,
     hermite_normal_form,
     is_zero_vec,
     mat_mul,
@@ -17,7 +16,13 @@ from conewise.linalg import (
     smith_normal_form,
     span_lattice,
 )
-from helpers import hnf_oracle_2x2, is_canonical_row_hnf, random_int_matrix, random_unimodular
+from helpers import (
+    fraction_det,
+    hnf_oracle_2x2,
+    is_canonical_row_hnf,
+    random_int_matrix,
+    random_unimodular,
+)
 
 
 class TestHermite:

@@ -37,7 +37,7 @@ from .fans import (
     stats,
     validate,
 )
-from .linalg import Sublattice, primitive_vector
+from .linalg import Sublattice, is_zero_vec, primitive_vector
 
 
 def _read_input(path: str) -> tuple[str, str | None]:
@@ -68,16 +68,31 @@ def _load_lattice(path: str | None, rank: int) -> Sublattice:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("malformed lattice JSON: %s" % exc.msg)
-    return jsonio.lattice_from_obj(obj)
+    lattice = jsonio.lattice_from_obj(obj)
+    if lattice.ambient_rank != rank or lattice.rank != rank:
+        raise ParseError("lattice has rank %d in ambient rank %d; the fan needs "
+                         "a full-rank lattice of rank %d"
+                         % (lattice.rank, lattice.ambient_rank, rank))
+    return lattice
 
 
-def _parse_degree(text: str):
+def _parse_degree(text: str, rank: int):
     try:
-        return tuple(jsonio.parse_rational(part.strip())
-                     for part in text.split(","))
+        degree = tuple(jsonio.parse_rational(part.strip())
+                       for part in text.split(","))
     except ParseError:
         raise ParseError("cannot parse degree %r; expected a,b,c with integer "
                          "or p/q entries" % text)
+    if len(degree) != rank:
+        raise ParseError("degree %r has %d entries; the fan has rank %d"
+                         % (text, len(degree), rank))
+    return degree
+
+
+def _radius(args) -> int:
+    if args.radius < 0:
+        raise ParseError("--radius must be nonnegative, got %d" % args.radius)
+    return args.radius
 
 
 def _is_vector(v) -> bool:
@@ -100,6 +115,8 @@ def _parse_wall(text: str, fan: Fan):
         ray_index = {r: i for i, r in enumerate(fan.rays)}
         idx = []
         for vec in parsed:
+            if is_zero_vec(vec):
+                raise ParseError("wall coordinates %r hold the zero vector" % text)
             key = primitive_vector(vec)
             if key not in ray_index:
                 raise NotAWall("no fan ray in direction %s" % (vec,))
@@ -201,7 +218,7 @@ def _cmd_fdim(args) -> dict:
     fan, text = _load_fan(args.fan)
     args._input = text
     lattice = _load_lattice(args.lattice, fan.ambient_rank)
-    degree = _parse_degree(args.degree)
+    degree = _parse_degree(args.degree, fan.ambient_rank)
     rays = _resolve_cone_arg(args.cone, fan)
     fc = fan.find_cone_by_rays(rays)
     if fc is None:
@@ -215,7 +232,7 @@ def _cmd_certify(args) -> dict:
     fan, text = _load_fan(args.fan)
     args._input = text
     lattice = _load_lattice(args.lattice, fan.ambient_rank)
-    degree = _parse_degree(args.degree)
+    degree = _parse_degree(args.degree, fan.ambient_rank)
     wall = _parse_wall(args.wall, fan)
     cert = h1_wall_certificate(fan, wall, degree, lattice)
     return jsonio.certificate_to_obj(cert)
@@ -225,7 +242,7 @@ def _cmd_search(args) -> dict:
     fan, text = _load_fan(args.fan)
     args._input = text
     lattice = _load_lattice(args.lattice, fan.ambient_rank)
-    certs = find_h1_witness(fan, lattice, search_radius=args.radius)
+    certs = find_h1_witness(fan, lattice, search_radius=_radius(args))
     return {
         "fan_sha256": jsonio.fan_hash(fan),
         "radius": args.radius,
@@ -237,7 +254,7 @@ def _cmd_search(args) -> dict:
 def _cmd_dichotomy(args) -> dict:
     fan, text = _load_fan(args.fan)
     args._input = text
-    result = run_dichotomy(fan, search_radius=args.radius)
+    result = run_dichotomy(fan, search_radius=_radius(args))
     return jsonio.dichotomy_to_obj(result)
 
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conewise.cli import main
+from conewise.fans import FanStats
 from conewise.jsonio import dumps, fan_from_obj, fan_to_obj, lattice_to_obj
 from conewise.linalg import Sublattice
 
@@ -147,6 +148,37 @@ class TestParseBoundary:
         assert result == run_cli(joined)
         assert result[0] in (0, 1) and json.loads(result[1] or result[2])
 
+    @pytest.mark.parametrize("args", [
+        ["search", "--radius", "-1"],
+        ["dichotomy", "--radius", "-1"],
+        ["fdim", "--cone", "tau", "--degree", "1,-1"],
+        ["certify", "--wall", "4,5", "--degree", "1,-1,0,2"],
+        ["certify", "--wall", "(0,0,0)", "--degree", "1,-1,0"],
+        ["certify", "--wall", "(1,-1,-1),(0,0,0)", "--degree", "1,-1,0"],
+    ])
+    def test_out_of_range_values_are_parse_errors(self, fan_files, args):
+        code, out, err = run_cli([args[0], fan_files["payne"]] + args[1:])
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
+
+    @pytest.mark.parametrize("rows", [
+        [(1, 0), (0, 1)],  # rank 2, not the fan's rank 3
+        [(1, 0, 0), (0, 1, 0)],  # rank 3 ambient, not full rank
+    ])
+    @pytest.mark.parametrize("command", [
+        ["certify", "--wall", "4,5", "--degree", "1,-1,0"],
+        ["fdim", "--cone", "tau", "--degree", "1,-1,0"],
+        ["search", "--radius", "0"],
+    ])
+    def test_lattice_must_be_full_rank_in_the_fan_rank(self, fan_files, tmp_path,
+                                                        rows, command):
+        lat_path = tmp_path / "lattice.json"
+        lat_path.write_text(dumps(lattice_to_obj(Sublattice.from_rows(len(rows[0]), rows))))
+        code, out, err = run_cli([command[0], fan_files["payne"]] + command[1:]
+                                 + ["--lattice", str(lat_path)])
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
+
     def test_abbreviated_option_with_leading_minus(self, fan_files):
         full = run_cli(["certify", fan_files["payne"], "--wall", "0,2",
                         "--degree=-1,2,1"])
@@ -242,6 +274,27 @@ class TestOtherCommands:
         code, _, err = run_cli(["dichotomy", fan_files["cube"]])
         assert code == 3
         assert json.loads(err)["error"] == "CertificateInvalid"
+
+    @pytest.mark.parametrize("target, patch, argv, message", [
+        ("conewise.danilov._face_span_rank", lambda dual, m, lattice: 0,
+         ["fdim", "payne", "--cone", "tau", "--degree", "1,-1,0"], "image rank"),
+        ("conewise.cpl.stats", lambda fan: FanStats((6, 3, 8), (4,) * 6, (3,) * 8),
+         ["cpl", "octahedron"], "counting chain"),
+        ("conewise.cpl._solve_global", lambda rays, values: None,
+         ["cpl", "octahedron"], "independent rays"),
+        ("conewise.dichotomy.vec_scale", lambda c, u: tuple(2 * c * x for x in u),
+         ["dichotomy", "cube"], "rescaled functional"),
+        ("conewise.dichotomy.stats",
+         lambda fan: FanStats((6, 12, 8), (3,) + (4,) * 5, (3,) * 8),
+         ["dichotomy", "octahedron"], "expected 3"),
+    ])
+    def test_internal_contradictions_exit_3(self, fan_files, monkeypatch,
+                                            target, patch, argv, message):
+        monkeypatch.setattr(target, patch)
+        code, out, err = run_cli([argv[0], fan_files[argv[1]]] + argv[2:])
+        assert code == 3 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "CertificateInvalid" and message in doc["message"]
 
     def test_stdin_input(self, fan_files, monkeypatch):
         text = open(fan_files["payne"]).read()

@@ -122,7 +122,7 @@ def _solve_global(rays: Sequence[Sequence], values: Sequence[Fraction]):
         return ()
     n = len(rays[0])
     m, pivots = rref([list(ray) + [values[i]] for i, ray in enumerate(rays)], n + 1)
-    if pivots and pivots[-1] == n:
+    if n in pivots:
         return None
     u = [Fraction(0)] * n
     for i, c in enumerate(pivots):

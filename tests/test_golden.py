@@ -50,7 +50,7 @@ JOBS += [
     ["fdim", "{payne}", "--cone", "tau", "--degree", "1/2,-1/2,0",
      "--lattice", "{half_lattice}"],
     ["search", "{payne}", "--radius", "1"],
-    # error documents that stay as they are
+    # error documents
     ["certify", "{payne}", "--wall", "0,7", "--degree", "1,-1,0"],
     ["certify", "{payne}", "--wall", "(0,0,0)", "--degree", "1,-1,0"],
     ["fdim", "{payne}", "--cone", "tau", "--degree", "1,-1"],

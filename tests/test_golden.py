@@ -55,6 +55,10 @@ JOBS += [
     ["certify", "{payne}", "--wall", "(0,0,0)", "--degree", "1,-1,0"],
     ["fdim", "{payne}", "--cone", "tau", "--degree", "1,-1"],
     ["multival", "{octahedron}", "--sigma", "7"],
+    ["fdim", "{payne}", "--cone", "tau", "--degree", "1/2,0,0"],
+    # a repeated ray index
+    ["fdim", "{payne}", "--cone", "4,4", "--degree", "1,-1,0"],
+    ["certify", "{payne}", "--wall", "4,4,5", "--degree", "1,-1,0"],
     # large degrees, as the bigdegree benchmark draws them (seed 0)
     ["certify", "{payne}", "--wall", "2,7", "--degree=54,36,-36"],
     ["certify", "{payne}", "--wall", "0,4", "--degree=44,-66,0"],

@@ -100,8 +100,18 @@ def _is_vector(v) -> bool:
             and all(isinstance(x, (int, float)) for x in v))
 
 
+def _distinct(idx: list[int], text: str) -> tuple[int, ...]:
+    """The ray indices sorted, refusing one named twice."""
+    idx = sorted(idx)
+    for a, b in zip(idx, idx[1:]):
+        if a == b:
+            raise ParseError("%r names ray %d more than once" % (text, a))
+    return tuple(idx)
+
+
 def _parse_wall(text: str, fan: Fan):
-    """Ray indices like "4,5" or coordinate tuples like "(1,-1,-1),(1,-1,2)"."""
+    """Ray indices like "4,5" or coordinate tuples like "(1,-1,-1),(1,-1,2)",
+    each ray named once."""
     text = text.strip()
     if "(" in text:
         try:
@@ -121,11 +131,12 @@ def _parse_wall(text: str, fan: Fan):
             if key not in ray_index:
                 raise NotAWall("no fan ray in direction %s" % (vec,))
             idx.append(ray_index[key])
-        return tuple(sorted(idx))
+        return _distinct(idx, text)
     try:
-        return tuple(sorted(int(p) for p in text.split(",")))
+        idx = [int(p) for p in text.split(",")]
     except ValueError:
         raise ParseError("cannot parse wall %r" % text)
+    return _distinct(idx, text)
 
 
 def _resolve_cone_arg(text: str, fan: Fan):

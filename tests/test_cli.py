@@ -115,6 +115,20 @@ class TestParseBoundary:
                                 "--degree", "1,-1,0"])
         assert code == 1 and json.loads(err)["error"] == "ParseError"
 
+    @pytest.mark.parametrize("command, option, rays", [
+        ("fdim", "--cone", "4,4"),
+        ("certify", "--wall", "4,4,5"),
+        ("certify", "--wall", "5,4,5"),
+        ("fdim", "--cone", "(1,-1,-1),(1,-1,-1)"),
+        ("certify", "--wall", "(1,-1,-1),(2,-2,-2),(1,-1,2)"),
+    ])
+    def test_repeated_ray_is_a_parse_error(self, fan_files, command, option, rays):
+        code, out, err = run_cli([command, fan_files["payne"], option, rays,
+                                  "--degree", "1,-1,0"])
+        assert code == 1 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "ParseError" and "more than once" in doc["message"]
+
     def test_float_coordinates_still_name_the_wall(self, fan_files):
         code, out, _ = run_cli(["certify", fan_files["payne"], "--wall",
                                 "(1.0,-1,-1),(1,-1,2)", "--degree", "1,-1,0"])

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import NotFullDimensional, NotInCone, NotPointed
+from .errors import NotFullDimensional, NotPointed
 from .linalg import (
     IntVec,
     Sublattice,
@@ -279,14 +279,6 @@ class Cone:
                            key=lambda c: (c.dim, c.rays, c.lineality)))
         object.__setattr__(self, "_faces", out)
         return out
-
-    def smallest_face_containing(self, p: Sequence) -> "Cone":
-        if not self.contains(p):
-            raise NotInCone("point is not in the cone")
-        p = tuple(Fraction(x) for x in p)
-        tight = [u for u in self.ineq_rays if dot(u, p) == 0]
-        return self._face(sum(1 << k for k, r in enumerate(self.rays)
-                              if all(dot(u, r) == 0 for u in tight)))
 
     def is_face_of(self, other: "Cone") -> bool:
         if self.ambient_rank != other.ambient_rank:

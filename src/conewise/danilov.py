@@ -80,75 +80,74 @@ class GradedPieceReport:
     dim_f: int
 
 
-def tilde_omega_dim(cone: Cone, m: Sequence, lattice: Sublattice) -> int:
-    """Rank of Span(sigma^v_m) within the working lattice; 0 outside the
-    dual cone."""
+def _pairings(cone: Cone, m: Sequence, lattice: Sublattice):
+    """m as Fractions, refused outside the lattice, and its pairings
+    ``(den*<g_i, m>, g_i)`` over the generators of sigma, narrowest first;
+    None for the pairings when one is negative, i.e. m is not in sigma^v."""
     m = tuple(Fraction(x) for x in m)
     if not lattice.contains(m):
         raise DegreeNotInLattice("degree %s is not in the lattice" % (m,))
-    dual = cone.dual()
-    if not dual.contains(m):
-        return 0
-    return _face_span_rank(dual, m, lattice)
+    w = [int(x * lattice.den) for x in m]
+    cols = sorted((dot(g, w), g) for g in cone.generators)
+    return m, (None if cols and cols[0][0] < 0 else cols)
 
 
-def _face_span_rank(dual: Cone, m: RatVec, lattice: Sublattice) -> int:
-    face = dual.smallest_face_containing(m)
-    gens = list(face.rays) + list(face.lineality)
-    if not gens:
-        return 0
-    return lattice.intersect_span(gens).rank
+def tilde_omega_dim(cone: Cone, m: Sequence, lattice: Sublattice) -> int:
+    """Rank of Span(sigma^v_m) within the working lattice; 0 outside the
+    dual cone.  See :func:`_pairing_span` for how it is read off."""
+    m, cols = _pairings(cone, m, lattice)
+    return 0 if cols is None else _pairing_span(cone, cols, lattice, image=False)[0]
 
 
 def image_lattice(cone: Cone, m: Sequence, lattice: Sublattice) -> Sublattice:
     """Span of the degrees q with q and m - q both in the dual cone: the
     lattice points of ``P = sigma^v meet (m - sigma^v)``, computed in pairing
-    coordinates.
-
-    The identity.  Let g_1..g_k be the generators of sigma (its rays and both
-    signs of its lineality basis), ``pi(x) = (<g_i, x>)_i``, ``Lambda =
-    pi(L)`` for the working lattice L, and ``B = prod [0, <g_i, m>]``.  P is
-    cut out by these pairings alone, so ``P meet L = pi^-1(Lambda meet B)``
-    exactly.  The kernel of pi, ``sigma^perp meet L``, maps to 0, which lies
-    in B, so it lies in P and ``span(P meet L) = pi^-1(span(Lambda meet
-    B))``.  B is a finite box, so one finite enumeration gives the span
-    exactly: no V-description, emptiness test or stopping rule is needed.
-
-    The enumeration.  With the HNF basis h_1..h_s of Lambda (scaled by the
-    lattice denominator), a point is ``sum t_j h_j``.  The basis is
-    triangular, so the columns from h_j's pivot up to the next pivot are
-    fixed once t_1..t_j are, and the box bounds t_j to an interval given
-    t_1..t_(j-1).  Fibre by fibre, each interval walked outward from 0, the
-    points are folded into a running span S in t-coordinates; the point list
-    is never built.
-
-    The early exit.  If S holds a point with prefix t_1..t_j and the whole
-    fibre lattice ``0 x Z^(s-j)``, it holds every point with that prefix,
-    and the rest of the fibre is skipped.  At j = 0 this says S is all of
-    Lambda: the enumeration stops there, and the span is L itself.
-    """
-    m = tuple(Fraction(x) for x in m)
-    if not lattice.contains(m):
-        raise DegreeNotInLattice("degree %s is not in the lattice" % (m,))
-    if not cone.dual().contains(m):
+    coordinates by :func:`_pairing_span`."""
+    m, cols = _pairings(cone, m, lattice)
+    if cols is None:
         raise DegreeNotInCone("degree %s is not in the dual cone" % (m,))
-    return _pairing_span(cone, m, lattice)
+    return _pairing_span(cone, cols, lattice)[1]
 
 
-def _pairing_span(cone: Cone, m: RatVec, lattice: Sublattice) -> Sublattice:
-    """:func:`image_lattice` for a degree m already known to lie in the
-    lattice and in the dual cone.  A working lattice of lower rank is
-    refused when P has lineality (sigma not full-dimensional)."""
+def _pairing_span(cone: Cone, cols, lattice: Sublattice, image: bool = True):
+    """``(dim_tilde, image)`` of a degree m in the lattice and in the dual
+    cone, from its pairings ``cols`` and one Hermite form H of the pairing
+    matrix (row j: the g_i paired with den times the lattice basis vector
+    b_j).  The image is None unless asked for; with a lattice of lower rank
+    it needs sigma full-dimensional.
+
+    dim_tilde.  tau = sigma meet m^perp is generated by the tight g_i, with
+    ``<g_i, m> = 0``, which come first.  The smallest face of sigma^v holding
+    m is ``sigma^v meet tau^perp`` and spans tau^perp (Fulton 1993, 1.2), so
+    dim_tilde = rank(L meet tau^perp) = rank L - rank(tight columns).  Row
+    operations keep the rank of every set of columns, and H is echelon, so
+    ``dim_tilde = rank L - #{pivots of H in the tight columns}`` on every
+    working lattice, of full rank or not.
+
+    The image.  With ``pi(x) = (<g_i, x>)_i``, ``Lambda = pi(L)`` and the
+    box ``B = prod [0, <g_i, m>]``, P is cut out by the pairings, so ``P
+    meet L = pi^-1(Lambda meet B)``; ker pi maps to 0, in B, so ``span(P
+    meet L) = pi^-1(span(Lambda meet B))``, one finite enumeration.  The
+    nonzero rows h_1..h_s of H are a triangular basis of Lambda: the columns
+    from h_j's pivot to the next are fixed by t_1..t_j in ``sum t_j h_j``,
+    and B bounds t_j to an interval given t_1..t_(j-1).  Fibre by fibre,
+    each interval walked outward from 0 (narrowest sides first, so pinned
+    pairings fix the outer fibres), the points fold into a running span S
+    in t-coordinates; the point list is never built.  If S holds a point
+    with prefix t_1..t_j and the fibre lattice ``0 x Z^(s-j)``, it holds the
+    whole fibre, which is skipped; at j = 0, S is Lambda and the span is L.
+    """
     n, den = lattice.ambient_rank, lattice.den
-    if lattice.rank != n and cone.dim != n:
-        raise NotFullRank("span computation needs a full-rank working lattice")
-    # narrowest sides first, so that pinned pairings fix the outer fibres
-    cols = sorted((int(dot(g, m) * den), g) for g in cone.generators)
     box = [u for u, _ in cols]
     h, u_mat = hermite_normal_form([[dot(g, b) for _, g in cols]
                                     for b in lattice.basis_int])
     s = sum(1 for row in h if not is_zero_vec(row))
     pivots = [next(c for c, x in enumerate(row) if x) for row in h[:s]]
+    dim_tilde = lattice.rank - sum(1 for p in pivots if not box[p])
+    if not image:
+        return dim_tilde, None
+    if lattice.rank != n and cone.dim != n:
+        raise NotFullRank("span computation needs a full-rank working lattice")
     bands = [range(p, q) for p, q in zip(pivots, pivots[1:] + [len(cols)])]
     span: list[tuple[int, ...]] = []
 
@@ -177,29 +176,27 @@ def _pairing_span(cone: Cone, m: RatVec, lattice: Sublattice) -> Sublattice:
 
     walk(0, (), [0] * len(cols))
     if holds_fibre(0):
-        return lattice
+        return dim_tilde, lattice
     # pi^-1(S): the lifts of S's rows plus the kernel, in lattice coordinates
     coords = [vec_mat(t, u_mat[:s]) for t in span] + list(u_mat[s:])
-    return Sublattice.from_rows(n, [[Fraction(x, den) for x in vec_mat(c, lattice.basis_int)]
-                                    for c in coords])
+    return dim_tilde, Sublattice.from_rows(
+        n, [[Fraction(x, den) for x in vec_mat(c, lattice.basis_int)] for c in coords])
 
 
 def f_dim(cone: Cone, m: Sequence, lattice: Sublattice) -> GradedPieceReport:
     """Graded dimension report of the cokernel piece in degree m.
 
     Over a characteristic-zero coefficient field only ranks matter; a degree
-    outside the dual cone contributes nothing at all.
+    outside the dual cone contributes nothing at all.  Both ranks come from
+    one Hermite form of the pairing matrix, and :func:`_pairing_span` proves
+    ``dim_tilde = rank L - #{pivots in the tight columns}``.
     """
-    m = tuple(Fraction(x) for x in m)
-    if not lattice.contains(m):
-        raise DegreeNotInLattice("degree %s is not in the lattice" % (m,))
-    dual = cone.dual()
-    if not dual.contains(m):
+    m, cols = _pairings(cone, m, lattice)
+    if cols is None:
         return GradedPieceReport(degree=m, dim_tilde=0,
                                  image_lattice=Sublattice.zero(cone.ambient_rank),
                                  dim_f=0)
-    dim_tilde = _face_span_rank(dual, m, lattice)
-    image = _pairing_span(cone, m, lattice)
+    dim_tilde, image = _pairing_span(cone, cols, lattice)
     dim_f = dim_tilde - image.rank
     if dim_f < 0:
         raise CertificateInvalid("image rank exceeds the ambient graded dimension")

@@ -13,10 +13,6 @@ class NotFullRank(ConewiseError):
     pass
 
 
-class NotInCone(ConewiseError):
-    pass
-
-
 class InvalidFan(ConewiseError):
     pass
 

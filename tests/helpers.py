@@ -5,8 +5,9 @@ membership goes through independent-subset solves, facet counting through
 bounded normal-vector search, Hermite forms through brute-force unimodular
 search, lattice point spans through a flat numpy box enumeration, cone
 conversion through an exhaustive search over row subsets, completeness
-through random sampling of directions, and determinants through Gaussian
-elimination on Fractions.
+through random sampling of directions, determinants through Gaussian
+elimination on Fractions, and the smallest face holding a point through a
+scan of the whole face lattice.
 """
 
 from fractions import Fraction
@@ -339,6 +340,16 @@ def faces_oracle(generators, n):
                     nxt.append(face)
         frontier = nxt
     return seen
+
+
+def smallest_face_oracle(cone, p):
+    """The least-dimensional face of ``cone.faces()`` that contains p: the
+    smallest face holding p, since faces meet in faces.  A point outside
+    the cone is refused with ValueError."""
+    for face in cone.faces():
+        if face.contains(p):
+            return face
+    raise ValueError("point %s is not in the cone" % (tuple(p),))
 
 
 def face_fan_facets_oracle(points):

@@ -10,6 +10,7 @@ import pytest
 
 from conewise.cli import main
 from conewise.fans import FanStats
+from conewise.linalg import Sublattice
 from conewise.jsonio import dumps, fan_from_obj, fan_to_obj, lattice_to_obj
 from conewise.linalg import Sublattice
 
@@ -290,7 +291,8 @@ class TestOtherCommands:
         assert json.loads(err)["error"] == "CertificateInvalid"
 
     @pytest.mark.parametrize("target, patch, argv, message", [
-        ("conewise.danilov._face_span_rank", lambda dual, m, lattice: 0,
+        ("conewise.danilov._pairing_span",
+         lambda cone, cols, lattice, image=True: (0, Sublattice.standard(3)),
          ["fdim", "payne", "--cone", "tau", "--degree", "1,-1,0"], "image rank"),
         ("conewise.cpl.stats", lambda fan: FanStats((6, 3, 8), (4,) * 6, (3,) * 8),
          ["cpl", "octahedron"], "counting chain"),

@@ -22,7 +22,13 @@ from conewise.errors import (
     NotFullRank,
 )
 from conewise.linalg import Sublattice, dot, span_lattice, vec_add, vec_scale
-from helpers import apply_unimodular, numpy_span_oracle, random_unimodular, solve_exact
+from helpers import (
+    apply_unimodular,
+    numpy_span_oracle,
+    random_unimodular,
+    smallest_face_oracle,
+    solve_exact,
+)
 
 Z3 = Sublattice.standard(3)
 M = (1, -1, 0)
@@ -74,7 +80,7 @@ class TestImageLattice:
             assert lat.contains((0, 0, 0))
 
     def test_dimension_one_case(self):
-        face = SIGMA2.dual().smallest_face_containing(M)
+        face = smallest_face_oracle(SIGMA2.dual(), M)
         assert face.dim == 1
         lat = image_lattice(SIGMA2, M, Z3)
         assert lat.rank == 1
@@ -107,7 +113,7 @@ class TestFDim:
 
     def test_image_inside_face_span(self):
         for cone, m in ((TAU, M), (SIGMA2, M), (OCTANT, (2, 1, 0))):
-            face = cone.dual().smallest_face_containing(m)
+            face = smallest_face_oracle(cone.dual(), m)
             ambient = Z3.intersect_span(list(face.rays) + list(face.lineality))
             assert ambient.contains_lattice(image_lattice(cone, m, Z3))
 
@@ -137,7 +143,7 @@ class TestFDim:
             for m in lattice_points_in_box(Z3, 2):
                 if not dual.contains(m) or all(x == 0 for x in m):
                     continue
-                face = dual.smallest_face_containing(m)
+                face = smallest_face_oracle(dual, m)
                 if face.dim == 1:
                     assert f_dim(cone, m, Z3).dim_f == 0
                     done += 1

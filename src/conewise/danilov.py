@@ -86,7 +86,8 @@ def _pairings(cone: Cone, m: Sequence, lattice: Sublattice):
     None for the pairings when one is negative, i.e. m is not in sigma^v."""
     m = tuple(Fraction(x) for x in m)
     if not lattice.contains(m):
-        raise DegreeNotInLattice("degree %s is not in the lattice" % (m,))
+        raise DegreeNotInLattice("degree %s is not in the lattice"
+                                 % ",".join(map(str, m)))
     w = [int(x * lattice.den) for x in m]
     cols = sorted((dot(g, w), g) for g in cone.generators)
     return m, (None if cols and cols[0][0] < 0 else cols)
@@ -105,7 +106,8 @@ def image_lattice(cone: Cone, m: Sequence, lattice: Sublattice) -> Sublattice:
     coordinates by :func:`_pairing_span`."""
     m, cols = _pairings(cone, m, lattice)
     if cols is None:
-        raise DegreeNotInCone("degree %s is not in the dual cone" % (m,))
+        raise DegreeNotInCone("degree %s is not in the dual cone"
+                              % ",".join(map(str, m)))
     return _pairing_span(cone, cols, lattice)[1]
 
 

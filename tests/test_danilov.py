@@ -61,7 +61,7 @@ class TestTildeOmega:
         assert tilde_omega_dim(OCTANT, (0, 0, 0), Z3) == 0
 
     def test_degree_not_in_lattice(self):
-        with pytest.raises(DegreeNotInLattice):
+        with pytest.raises(DegreeNotInLattice, match="^degree 1/2,0,0 is not in"):
             tilde_omega_dim(OCTANT, (Fraction(1, 2), 0, 0), Z3)
 
 
@@ -87,7 +87,7 @@ class TestImageLattice:
         assert lat.contains(M)
 
     def test_degree_not_in_cone(self):
-        with pytest.raises(DegreeNotInCone):
+        with pytest.raises(DegreeNotInCone, match="^degree 1,-1,0 is not in"):
             image_lattice(SIGMA1, M, Z3)
 
     def test_lower_rank_lattice(self):

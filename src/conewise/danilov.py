@@ -272,8 +272,8 @@ def h1_wall_certificate(fan: Fan, wall, m: Sequence,
     if len(owners) != 2:
         raise NotAWall("cone %s lies in %d maximal cones, not 2" %
                        (fc.ray_indices, len(owners)))
-    m = tuple(Fraction(x) for x in m)
-    return _certificate(fan, fc, owners, m, lattice, f_dim(fc.cone, m, lattice))
+    report = f_dim(fc.cone, m, lattice)
+    return _certificate(fan, fc, owners, report.degree, lattice, report)
 
 
 def _certificate(fan: Fan, fc: FanCone, owners, m: RatVec, lattice: Sublattice,

@@ -5,7 +5,11 @@ Each entry of ``golden_digests.json`` holds an argv (``{cube}``,
 ``{half_lattice}`` stand for the fixture files), the exit code, and the
 sha256 of stdout and of stderr.  ``sphereN`` is the face fan of the lattice
 points with x^2 + y^2 + z^2 = N; both are non-simplicial, and the dichotomy
-takes branch B on sphere5 and branch A on sphere6.  A refactor
+takes branch B on sphere5 and branch A on sphere6.  The small documents
+of ``SMALL_FANS`` and ``{cube_part}``, three of the cube's maximal cones
+over the rays they use, cover the shapes the fixtures lack: a
+lower-dimensional maximal cone, ranks 1 and 2, a non-complete fan, a ray in
+no maximal cone, and two kinds of invalid fan.  A refactor
 that changes any of them changes a CLI document; a change that does so on
 purpose re-records the file and names the entries it changed.
 
@@ -25,6 +29,24 @@ import pytest
 DATA = Path(__file__).with_name("golden_digests.json")
 FIXTURES = ("cube", "octahedron", "payne")
 SPHERES = (5, 6)
+SMALL_FANS = {
+    # e1, e2, e3 and (-1,-1,0); the second maximal cone is 2-dimensional
+    "lowdim3": {"rank": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, 0]],
+                "maximal_cones": [[0, 1, 2], [1, 3]]},
+    # the complete fan of the Hirzebruch surface F2
+    "rank2": {"rank": 2, "rays": [[1, 0], [0, 1], [-1, 2], [0, -1]],
+              "maximal_cones": [[0, 1], [1, 2], [2, 3], [3, 0]]},
+    "rank1": {"rank": 1, "rays": [[1], [-1]], "maximal_cones": [[0], [1]]},
+    # ray 3 lies in no maximal cone
+    "stray_ray": {"rank": 2, "rays": [[1, 0], [0, 1], [-1, 0], [-1, -1]],
+                  "maximal_cones": [[0, 1], [1, 2]]},
+    # a half-plane
+    "not_pointed": {"rank": 2, "rays": [[1, 0], [-1, 0], [0, 1]],
+                    "maximal_cones": [[0, 1, 2]]},
+    # cone(e1, e2) and cone((1,1), (-1,1)) meet in cone((1,1), e2)
+    "overlap": {"rank": 2, "rays": [[1, 0], [0, 1], [1, 1], [-1, 1]],
+                "maximal_cones": [[0, 1], [2, 3]]},
+}
 
 JOBS = []
 for _name, _wall in (("cube", "0,1"), ("octahedron", "0,1"), ("payne", "4,5")):
@@ -90,6 +112,10 @@ JOBS += [
     ["builders", "cube"],
     ["builders", "octahedron"],
 ]
+for _name in ("lowdim3", "rank2", "rank1", "cube_part", "stray_ray"):
+    JOBS += [["cpl", "{%s}" % _name], ["multival", "{%s}" % _name]]
+for _name in ("not_pointed", "overlap"):
+    JOBS += [["validate", "{%s}" % _name], ["stats", "{%s}" % _name]]
 
 
 def _run(argv):
@@ -112,7 +138,7 @@ def _sphere_points(r2):
 
 
 def _write_fixtures(root: Path) -> dict:
-    from conewise.fans import build_face_fan
+    from conewise.fans import build_cube_fan, build_face_fan
     from conewise.jsonio import dumps, fan_to_obj, lattice_to_obj
     from conewise.linalg import Sublattice
 
@@ -126,6 +152,15 @@ def _write_fixtures(root: Path) -> dict:
         name = "sphere%d" % r2
         fan = build_face_fan(_sphere_points(r2))
         (root / ("%s.json" % name)).write_text(dumps(fan_to_obj(fan)))
+        paths[name] = str(root / ("%s.json" % name))
+    cube = build_cube_fan()
+    cones = cube.maximal_cone_rays[:3]
+    used = sorted({i for c in cones for i in c})
+    small = dict(SMALL_FANS, cube_part={
+        "rank": 3, "rays": [list(cube.rays[i]) for i in used],
+        "maximal_cones": [[used.index(i) for i in c] for c in cones]})
+    for name, doc in small.items():
+        (root / ("%s.json" % name)).write_text(dumps(doc))
         paths[name] = str(root / ("%s.json" % name))
     half = Sublattice.standard(3).add_generator(
         (Fraction(1, 2), Fraction(-1, 2), Fraction(0)))

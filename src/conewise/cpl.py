@@ -1,23 +1,22 @@
 """Single-valued conewise linear functions on a fan.
 
 A conewise linear function is represented by one linear functional per
-maximal cone; continuity is the condition that adjacent functionals agree on
-the span of the common face.  The space of these coefficient vectors is
-computed exactly over the rationals.
+maximal cone.  On a valid fan it is continuous exactly when two maximal
+cones' functionals agree on every ray the two cones share, so the space is
+read off the values on the rays (Billera 1989; Payne 2006) and computed
+exactly over the rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 from typing import Sequence
 
-from .cones import intersect
 from .errors import CertificateInvalid, InvalidFan, NotComplete, WrongDimension
 from .fans import Fan, is_complete, stats, validate
-from .linalg import RatVec, dot, mat_transpose, rref, span_lattice
+from .linalg import RatVec, dot, mat_transpose, rref, vec_mat
 
 
 def _rational_nullspace(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
@@ -78,41 +77,66 @@ class CPLSpace:
     trivial_dim: int
 
 
-def _wall_constraints(fan: Fan) -> list[list[Fraction]]:
-    n = fan.ambient_rank
-    ncols = n * len(fan.maximal_cones)
-    rows = []
-    for i, j in combinations(range(len(fan.maximal_cones)), 2):
-        meet = intersect(fan.maximal_cones[i], fan.maximal_cones[j])
-        gens = list(meet.rays) + list(meet.lineality)
-        if not gens:
-            continue
-        for w in span_lattice(gens, n).basis_int:
-            row = [Fraction(0)] * ncols
-            for t in range(n):
-                row[i * n + t] = Fraction(w[t])
-                row[j * n + t] = Fraction(-w[t])
-            rows.append(row)
-    return rows
-
-
 def cpl_space(fan: Fan) -> CPLSpace:
     """Exact basis of the continuity solution space.
 
-    One functional per maximal cone avoids any special casing for
+    One functional ``u_k`` per maximal cone avoids any special casing for
     non-simplicial cones; the global linear functionals embed diagonally, so
     the trivial subspace always has dimension equal to the ambient rank.
+
+    In a valid fan the cones are pointed and two of them meet in a common
+    face, whose rays are the rays the two cones share.  So the functionals
+    are continuous exactly when they agree on the shared ray indices, and
+    the space is spanned by two kinds of vectors.  The values x on the rays
+    that are consistent inside every cone (each further ray of sigma_k
+    takes the value its expression in a basis B_k of sigma_k's rays
+    dictates) lift to one functional per cone, read off the inverse of B_k
+    completed by unit vectors, with the unit-vector values 0; and for every
+    cone the n - dim sigma_k functionals that vanish on its rays, with 0 on
+    the other cones.
+
+    The basis returned is the reduced row echelon form of that span with
+    its columns read right to left, sorted by pivot.  That form is unique
+    for a given subspace, and it is the nullspace basis that elimination on
+    the pairwise wall constraints produces, so the basis (and every CLI
+    document built from it) does not depend on how the span was found.
     """
     if not validate(fan).ok:
         raise InvalidFan("fan does not satisfy the fan axioms")
     n = fan.ambient_rank
-    ncols = n * len(fan.maximal_cones)
-    null = _rational_nullspace(_wall_constraints(fan), ncols)
+    nrays = len(fan.rays)
+    charts = []
+    consistency = []
+    for cone in fan.maximal_cones:
+        idx = fan._ray_indices_of(cone)
+        # columns: the rays of the cone, then the unit vectors; the pivots
+        # are a basis of the rays completed by unit vectors, and the last n
+        # columns are the transposed inverse of that basis
+        m, pivots = rref([[fan.rays[i][t] for i in idx] + [int(s == t) for s in range(n)]
+                          for t in range(n)], len(idx) + n)
+        base = [idx[p] for p in pivots if p < len(idx)]
+        for j in range(len(idx)):
+            if j not in pivots:
+                row = [Fraction(0)] * nrays
+                row[idx[j]] = Fraction(1)
+                for s, i in enumerate(base):
+                    row[i] -= m[s][j]
+                consistency.append(row)
+        charts.append((base, [row[len(idx):] for row in m]))
+    spanning = [[x for base, inv in charts
+                 for x in vec_mat([x_ray[i] for i in base], inv[:len(base)])]
+                for x_ray in _rational_nullspace(consistency, nrays)]
+    for k, (base, inv) in enumerate(charts):
+        for s in range(len(base), n):
+            v = [Fraction(0)] * (n * len(charts))
+            v[k * n:(k + 1) * n] = inv[s]
+            spanning.append(v)
+    m, pivots = rref([v[::-1] for v in spanning], n * len(charts))
     basis = []
-    for v in null:
-        funcs = tuple(tuple(v[k * n:(k + 1) * n])
-                      for k in range(len(fan.maximal_cones)))
-        basis.append(CPLFunction(fan, funcs))
+    for v in reversed(m[:len(pivots)]):
+        v = v[::-1]
+        basis.append(CPLFunction(fan, tuple(tuple(v[k * n:(k + 1) * n])
+                                            for k in range(len(charts)))))
     return CPLSpace(fan=fan, basis=tuple(basis), dim=len(basis), trivial_dim=n)
 
 

@@ -6,8 +6,9 @@ bounded normal-vector search, Hermite forms through brute-force unimodular
 search, lattice point spans through a flat numpy box enumeration, cone
 conversion through an exhaustive search over row subsets, completeness
 through random sampling of directions, determinants through Gaussian
-elimination on Fractions, and the smallest face holding a point through a
-scan of the whole face lattice.
+elimination on Fractions, the smallest face holding a point through a
+scan of the whole face lattice, and the conewise linear space through the
+pairwise intersections of the maximal cones.
 """
 
 from fractions import Fraction
@@ -375,3 +376,49 @@ def face_fan_facets_oracle(points):
             return None
         facets.add(tuple(i for i, v in enumerate(values) if v == c))
     return facets
+
+
+def cpl_space_oracle(fan):
+    """Basis of the conewise linear space by the pairwise route: for every
+    two maximal cones, the functionals u_i and u_j must agree on the span
+    of ``intersect(sigma_i, sigma_j)``; the basis is the nullspace of those
+    wall constraints over the n*k coefficients, read off their reduced row
+    echelon form, one vector per free column in column order."""
+    from conewise.cones import intersect
+    from conewise.cpl import CPLFunction
+    from conewise.linalg import rref
+
+    n = fan.ambient_rank
+    k = len(fan.maximal_cones)
+    ncols = n * k
+    rows = []
+    for i, j in combinations(range(k), 2):
+        meet = intersect(fan.maximal_cones[i], fan.maximal_cones[j])
+        gens = list(meet.rays) + list(meet.lineality)
+        if not gens:
+            continue
+        for w in span_lattice(gens, n).basis_int:
+            row = [Fraction(0)] * ncols
+            row[i * n:(i + 1) * n] = [Fraction(x) for x in w]
+            row[j * n:(j + 1) * n] = [Fraction(-x) for x in w]
+            rows.append(row)
+    m, pivots = rref(rows, ncols)
+    basis = []
+    for c in range(ncols):
+        if c in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[c] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][c]
+        basis.append(CPLFunction(fan, tuple(tuple(v[t * n:(t + 1) * n])
+                                            for t in range(k))))
+    return tuple(basis)
+
+
+def sphere_points(r2):
+    """The integer points with x^2 + y^2 + z^2 = r2; their face fan is
+    complete and non-simplicial for r2 = 5 and 6."""
+    r = range(-r2, r2 + 1)
+    return [(x, y, z) for x in r for y in r for z in r
+            if x * x + y * y + z * z == r2]

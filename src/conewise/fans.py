@@ -377,7 +377,9 @@ def reindex_lattice(fan: Fan, new_lattice: Sublattice) -> ReindexedFan:
 
     Ray directions are re-primitivized with respect to the new lattice, so
     the combinatorics (ray indices, maximal cones, labels) carry over
-    unchanged.
+    unchanged.  A linear isomorphism preserves the fan axioms, completeness
+    and the maximal-cone indices that violations name, so a validation
+    report and completeness already computed on ``fan`` carry over too.
     """
     n = fan.ambient_rank
     if new_lattice.ambient_rank != n or new_lattice.rank != n:
@@ -387,4 +389,6 @@ def reindex_lattice(fan: Fan, new_lattice: Sublattice) -> ReindexedFan:
     new_rays = [primitive_vector(vec_mat(tuple(Fraction(x) for x in r), inv))
                 for r in fan.rays]
     new_fan = Fan(n, new_rays, fan.maximal_cone_rays, labels=fan.labels)
+    new_fan._validation = fan._validation
+    new_fan._complete = fan._complete
     return ReindexedFan(fan=new_fan, basis=basis, basis_inverse=inv)

@@ -1,4 +1,6 @@
+import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -10,9 +12,10 @@ from conewise.dichotomy import (
     run_dichotomy,
 )
 from conewise.errors import LNotInRelativeInterior, NotComplete, SearchExhausted, WrongDimension
-from conewise.fans import Fan, reindex_lattice
+from conewise.fans import Fan, build_face_fan, reindex_lattice
 from conewise.jsonio import dichotomy_to_obj, dumps
 from conewise.linalg import Sublattice, dot
+from helpers import sphere_points
 
 Z3 = Sublattice.standard(3)
 
@@ -188,3 +191,25 @@ class TestRunDichotomy:
                 assert all(r.dim_f == 0
                            for r in w.certificate.neighbour_reports)
                 assert w.tau_smooth_after_reindex
+
+
+@pytest.mark.parametrize("r2, branch", [(6, "line_bundle"), (5, "k_group")])
+def test_only_the_one_validate_intersects(r2, branch, monkeypatch):
+    """Branch A reads the conewise linear space off ray values, and branch B
+    carries the validation through the reindexing: the C(k,2) intersections
+    of the first ``validate`` are the only ones."""
+    import conewise.cones
+
+    fan = build_face_fan(sphere_points(r2))
+    real = conewise.cones.intersect
+    callers = []
+
+    def counting(c1, c2):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(c1, c2)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "conewise" and getattr(module, "intersect", None) is real:
+            monkeypatch.setattr(module, "intersect", counting)
+    assert run_dichotomy(fan).branch == branch
+    assert callers == ["validate"] * comb(len(fan.maximal_cones), 2)

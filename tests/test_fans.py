@@ -20,6 +20,7 @@ from helpers import (
     face_fan_facets_oracle,
     random_unimodular,
     sampled_completeness_oracle,
+    sphere_points,
 )
 
 P1 = Fan(1, [(1,), (-1,)], [[0], [1]])
@@ -257,3 +258,36 @@ class TestReindex:
         re = reindex_lattice(payne_fan, lat)
         m = (Fraction(1), Fraction(-1), Fraction(0))
         assert re.degree_from_new(re.degree_to_new(m)) == m
+
+    @pytest.mark.parametrize("name", ["cube_fan", "octahedron_fan", "payne_fan",
+                                      "sphere5", "overlap"])
+    def test_validation_and_completeness_carry_over(self, name, request):
+        if name == "sphere5":
+            fan = build_face_fan(sphere_points(5))
+        elif name == "overlap":
+            fan = Fan(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (-1, 1, 0), (0, 0, 1)],
+                      [[0, 1, 4], [2, 3, 4]])
+        else:
+            fan = request.getfixturevalue(name)
+        ok = validate(fan).ok
+        if ok:
+            is_complete(fan)
+        rng = random.Random(59)
+        lattices = [
+            Sublattice.standard(3),
+            Sublattice.from_rows(3, [(2, 0, 0), (1, 1, 0), (0, 0, 1)]),
+            Sublattice.standard(3).add_generator((Fraction(1, 2), Fraction(-1, 2), 0)),
+            Sublattice.from_rows(3, random_unimodular(rng, 3)),
+        ]
+        for lattice in lattices:
+            new = reindex_lattice(fan, lattice).fan
+            assert new._validation is not None
+            fresh = Fan(3, new.rays, new.maximal_cone_rays)
+            assert validate(new) == validate(fresh)
+            if ok:
+                assert new._complete is not None
+                assert is_complete(new) == is_complete(fresh)
+            else:
+                for f in (new, fresh):
+                    with pytest.raises(InvalidFan):
+                        is_complete(f)

@@ -26,6 +26,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import sphere_points
+
 DATA = Path(__file__).with_name("golden_digests.json")
 FIXTURES = ("cube", "octahedron", "payne")
 SPHERES = (5, 6)
@@ -131,12 +133,6 @@ def _sha(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _sphere_points(r2):
-    r = range(-r2, r2 + 1)
-    return [(x, y, z) for x in r for y in r for z in r
-            if x * x + y * y + z * z == r2]
-
-
 def _write_fixtures(root: Path) -> dict:
     from conewise.fans import build_cube_fan, build_face_fan
     from conewise.jsonio import dumps, fan_to_obj, lattice_to_obj
@@ -150,7 +146,7 @@ def _write_fixtures(root: Path) -> dict:
         paths[name] = str(root / ("%s.json" % name))
     for r2 in SPHERES:
         name = "sphere%d" % r2
-        fan = build_face_fan(_sphere_points(r2))
+        fan = build_face_fan(sphere_points(r2))
         (root / ("%s.json" % name)).write_text(dumps(fan_to_obj(fan)))
         paths[name] = str(root / ("%s.json" % name))
     cube = build_cube_fan()

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .errors import CertificateInvalid, InvalidFan, NotComplete, WrongDimension
+from .errors import CertificateInvalid, HypothesisFailed, InvalidFan, NotComplete, WrongDimension
 from .fans import Fan, is_complete, stats, validate
 from .linalg import RatVec, dot, mat_transpose, rref, vec_mat
 
@@ -63,7 +63,7 @@ class CPLFunction:
         for k, idx in enumerate(self.fan.maximal_cone_rays):
             if ray_index in idx:
                 return dot(self.functionals[k], ray)
-        raise ValueError("ray %d lies in no maximal cone" % ray_index)
+        raise HypothesisFailed("ray %d lies in no maximal cone" % ray_index)
 
     def ray_values(self) -> tuple[Fraction, ...]:
         return tuple(self.value_on_ray(i) for i in range(len(self.fan.rays)))

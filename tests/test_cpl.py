@@ -6,7 +6,7 @@ import pytest
 
 from conewise.cones import intersect
 from conewise.cpl import cpl_space, counting_certificate, nontrivial_cpl
-from conewise.errors import NotComplete, WrongDimension
+from conewise.errors import HypothesisFailed, NotComplete, WrongDimension
 from conewise.fans import Fan, build_face_fan
 from conewise.linalg import dot, integer_rank, span_lattice
 
@@ -99,6 +99,11 @@ class TestNontrivial:
     def test_single_cone_absent(self):
         fan = Fan(2, [(1, 0), (0, 1)], [[0, 1]])
         assert nontrivial_cpl(fan) is None
+
+    def test_ray_in_no_maximal_cone_is_refused(self):
+        fan = Fan(2, [(1, 0), (0, 1), (-1, 0), (-1, -1)], [[0, 1], [1, 2]])
+        with pytest.raises(HypothesisFailed, match="ray 3 lies in no maximal cone"):
+            nontrivial_cpl(fan)
 
     def test_witness_ray_disagrees(self, cube_fan):
         fn = nontrivial_cpl(cube_fan)

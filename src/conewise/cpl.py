@@ -97,14 +97,17 @@ def cpl_space(fan: Fan) -> CPLSpace:
 
     The basis returned is the reduced row echelon form of that span with
     its columns read right to left, sorted by pivot.  That form is unique
-    for a given subspace, and it is the nullspace basis that elimination on
-    the pairwise wall constraints produces, so the basis (and every CLI
-    document built from it) does not depend on how the span was found.
+    for a given subspace.  The nullspace basis read off the reduced echelon
+    form of the pairwise wall constraints is this same form: its vector for
+    a free column c is 1 at c, 0 at the other free columns and elsewhere
+    nonzero only at pivot columns left of c.  So the basis, and every CLI
+    document built from it, does not depend on how the span was found.
     """
     if not validate(fan).ok:
         raise InvalidFan("fan does not satisfy the fan axioms")
     n = fan.ambient_rank
     nrays = len(fan.rays)
+    ncols = n * len(fan.maximal_cones)
     charts = []
     consistency = []
     for cone in fan.maximal_cones:
@@ -124,19 +127,19 @@ def cpl_space(fan: Fan) -> CPLSpace:
                 consistency.append(row)
         charts.append((base, [row[len(idx):] for row in m]))
     spanning = [[x for base, inv in charts
-                 for x in vec_mat([x_ray[i] for i in base], inv[:len(base)])]
-                for x_ray in _rational_nullspace(consistency, nrays)]
+                 for x in vec_mat([values[i] for i in base], inv[:len(base)])]
+                for values in _rational_nullspace(consistency, nrays)]
     for k, (base, inv) in enumerate(charts):
-        for s in range(len(base), n):
-            v = [Fraction(0)] * (n * len(charts))
-            v[k * n:(k + 1) * n] = inv[s]
+        for u in inv[len(base):]:
+            v = [Fraction(0)] * ncols
+            v[k * n:(k + 1) * n] = u
             spanning.append(v)
-    m, pivots = rref([v[::-1] for v in spanning], n * len(charts))
+    m, pivots = rref([v[::-1] for v in spanning], ncols)
     basis = []
-    for v in reversed(m[:len(pivots)]):
-        v = v[::-1]
-        basis.append(CPLFunction(fan, tuple(tuple(v[k * n:(k + 1) * n])
-                                            for k in range(len(charts)))))
+    for row in reversed(m[:len(pivots)]):
+        v = row[::-1]
+        basis.append(CPLFunction(fan, tuple(tuple(v[k:k + n])
+                                            for k in range(0, ncols, n))))
     return CPLSpace(fan=fan, basis=tuple(basis), dim=len(basis), trivial_dim=n)
 
 

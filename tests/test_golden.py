@@ -9,7 +9,8 @@ takes branch B on sphere5 and branch A on sphere6.  The small documents
 of ``SMALL_FANS`` and ``{cube_part}``, three of the cube's maximal cones
 over the rays they use, cover the shapes the fixtures lack: a
 lower-dimensional maximal cone, ranks 1 and 2, a non-complete fan, a ray in
-no maximal cone, and two kinds of invalid fan.  A refactor
+no maximal cone, two kinds of invalid fan, and labels that do not name
+rays by integer indices.  A refactor
 that changes any of them changes a CLI document; a change that does so on
 purpose re-records the file and names the entries it changed.
 
@@ -48,6 +49,11 @@ SMALL_FANS = {
     # cone(e1, e2) and cone((1,1), (-1,1)) meet in cone((1,1), e2)
     "overlap": {"rank": 2, "rays": [[1, 0], [0, 1], [1, 1], [-1, 1]],
                 "maximal_cones": [[0, 1], [2, 3]]},
+    # a label naming a ray by a string, and one naming it by a float
+    "label_str": {"rank": 2, "rays": [[1, 0], [0, 1]], "maximal_cones": [[0, 1]],
+                  "labels": {"a": ["x"]}},
+    "label_float": {"rank": 2, "rays": [[1, 0], [0, 1]], "maximal_cones": [[0, 1]],
+                    "labels": {"a": [0.5]}},
 }
 
 JOBS = []
@@ -118,6 +124,8 @@ for _name in ("lowdim3", "rank2", "rank1", "cube_part", "stray_ray"):
     JOBS += [["cpl", "{%s}" % _name], ["multival", "{%s}" % _name]]
 for _name in ("not_pointed", "overlap"):
     JOBS += [["validate", "{%s}" % _name], ["stats", "{%s}" % _name]]
+for _name in ("label_str", "label_float"):
+    JOBS += [["fdim", "{%s}" % _name, "--cone", "a", "--degree", "1,0"]]
 
 
 def _run(argv):

@@ -122,15 +122,14 @@ def _parse_wall(text: str, fan: Fan):
             parsed = (parsed,)
         if not (isinstance(parsed, (tuple, list)) and parsed and all(map(_is_vector, parsed))):
             raise ParseError("cannot parse wall coordinates %r" % text)
-        ray_index = {r: i for i, r in enumerate(fan.rays)}
         idx = []
         for vec in parsed:
             if is_zero_vec(vec):
                 raise ParseError("wall coordinates %r hold the zero vector" % text)
             key = primitive_vector(vec)
-            if key not in ray_index:
+            if key not in fan.ray_index:
                 raise NotAWall("no fan ray in direction %s" % (vec,))
-            idx.append(ray_index[key])
+            idx.append(fan.ray_index[key])
         return _distinct(idx, text)
     try:
         idx = [int(p) for p in text.split(",")]

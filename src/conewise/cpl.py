@@ -111,7 +111,7 @@ def cpl_space(fan: Fan) -> CPLSpace:
     charts = []
     consistency = []
     for cone in fan.maximal_cones:
-        idx = fan._ray_indices_of(cone)
+        idx = fan.by_cone[cone].ray_indices
         # columns: the rays of the cone, then the unit vectors; the pivots
         # are a basis of the rays completed by unit vectors, and the last n
         # columns are the transposed inverse of that basis

@@ -235,9 +235,9 @@ class H1Certificate:
 
 def _resolve_wall(fan: Fan, wall) -> FanCone:
     if isinstance(wall, FanCone):
-        fc = wall
-    elif isinstance(wall, Cone):
-        fc = next((c for c in fan.all_cones if c.cone == wall), None)
+        wall = wall.cone
+    if isinstance(wall, Cone):
+        fc = fan.by_cone.get(wall)
         if fc is None:
             raise NotAWall("cone is not in the fan")
     else:
@@ -268,23 +268,21 @@ def h1_wall_certificate(fan: Fan, wall, m: Sequence,
     if lattice is None:
         lattice = Sublattice.standard(fan.ambient_rank)
     fc = _resolve_wall(fan, wall)
-    owners = fan.maximal_cones_containing(fc)
-    if len(owners) != 2:
+    if len(fc.owners) != 2:
         raise NotAWall("cone %s lies in %d maximal cones, not 2" %
-                       (fc.ray_indices, len(owners)))
+                       (fc.ray_indices, len(fc.owners)))
     report = f_dim(fc.cone, m, lattice)
-    return _certificate(fan, fc, owners, report.degree, lattice, report)
+    return _certificate(fan, fc, report.degree, lattice, report)
 
 
-def _certificate(fan: Fan, fc: FanCone, owners, m: RatVec, lattice: Sublattice,
+def _certificate(fan: Fan, fc: FanCone, m: RatVec, lattice: Sublattice,
                  wall_report: GradedPieceReport) -> H1Certificate:
-    s1 = f_dim(fan.maximal_cones[owners[0]], m, lattice)
-    s2 = f_dim(fan.maximal_cones[owners[1]], m, lattice)
+    s1, s2 = (f_dim(fan.maximal_cones[k], m, lattice) for k in fc.owners)
     valid = s1.dim_f == 0 and s2.dim_f == 0 and wall_report.dim_f >= 1
     return H1Certificate(
         fan=fan,
         wall_rays=fc.ray_indices,
-        neighbour_indices=(owners[0], owners[1]),
+        neighbour_indices=fc.owners,
         degree=m,
         lattice=lattice,
         wall_report=wall_report,
@@ -328,7 +326,6 @@ def find_h1_witness(fan: Fan, lattice: Sublattice | None = None,
     out = []
     for fc in fan.cones_of_dim(2):
         dual = fc.cone.dual()
-        owners = fan.maximal_cones_containing(fc)
         for m in degrees:
             if not dual.in_relative_interior(m):
                 continue
@@ -337,7 +334,7 @@ def find_h1_witness(fan: Fan, lattice: Sublattice | None = None,
             wall_report = f_dim(fc.cone, m, lattice)
             if wall_report.dim_f == 0:
                 continue
-            cert = _certificate(fan, fc, owners, m, lattice, wall_report)
+            cert = _certificate(fan, fc, m, lattice, wall_report)
             if cert.valid:
                 out.append(cert)
     return out

@@ -4,6 +4,13 @@ A fan is given by its primitive ray generators and the maximal cones as ray
 index lists.  The face closure is computed eagerly at construction and all
 derived cone lists are kept in a deterministic order, so identical input
 data always produces identical output.
+
+The same pass builds the fan's index, which every lookup reads:
+``ray_index`` maps a ray to its index, ``by_cone`` a closure ``Cone`` to its
+``FanCone``, and ``by_rays`` a sorted ray-index tuple to the first closure
+cone in ``all_cones`` order with that ray set (``{0}`` and a lineality-only
+face both have ``()``).  Each ``FanCone`` lists its ``owners``, the maximal
+cones it is a face of.
 """
 
 from __future__ import annotations
@@ -28,10 +35,12 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class FanCone:
-    """A cone of the fan together with its ray index set."""
+    """A cone of the fan, its ray index set, and the indices of the maximal
+    cones it is a face of."""
 
     cone: Cone
     ray_indices: tuple[int, ...]
+    owners: tuple[int, ...]
 
     @property
     def dim(self) -> int:
@@ -84,8 +93,8 @@ class Fan:
         self.maximal_cones = tuple(
             Cone.from_generators([rays[i] for i in c], ambient_rank)
             for c in self.maximal_cone_rays)
-        self._ray_index = {r: i for i, r in enumerate(rays)}
-        if len(self._ray_index) != len(rays):
+        self.ray_index = {r: i for i, r in enumerate(rays)}
+        if len(self.ray_index) != len(rays):
             raise InvalidFan("duplicate rays")
         for r in rays:
             if primitive_vector(r) != r:
@@ -99,54 +108,40 @@ class Fan:
     def _ray_indices_of(self, cone: Cone) -> tuple[int, ...]:
         idx = []
         for r in cone.rays:
-            i = self._ray_index.get(r)
+            i = self.ray_index.get(r)
             if i is None:
                 raise InvalidFan("face ray %s is not a listed fan ray" % (r,))
             idx.append(i)
         return tuple(sorted(idx))
 
     def _build_closure(self):
-        seen: dict[Cone, tuple[int, ...]] = {}
-        per_max: list[tuple[Cone, ...]] = []
-        for cone in self.maximal_cones:
-            faces = cone.faces()
-            per_max.append(faces)
-            for f in faces:
-                if f not in seen:
-                    seen[f] = self._ray_indices_of(f)
-        cones = [FanCone(c, seen[c]) for c in seen]
+        owners: dict[Cone, list[int]] = {}
+        for k, cone in enumerate(self.maximal_cones):
+            for f in cone.faces():
+                owners.setdefault(f, []).append(k)
+        cones = [FanCone(c, self._ray_indices_of(c), tuple(ks))
+                 for c, ks in owners.items()]
         cones.sort(key=lambda fc: (fc.dim, fc.ray_indices, fc.cone.rays))
         self.all_cones: tuple[FanCone, ...] = tuple(cones)
-        self._max_faces = tuple(per_max)
+        self.by_cone: dict[Cone, FanCone] = {fc.cone: fc for fc in cones}
+        self.by_rays: dict[tuple[int, ...], FanCone] = {}
+        for fc in cones:
+            self.by_rays.setdefault(fc.ray_indices, fc)
 
     def cones_of_dim(self, d: int) -> tuple[FanCone, ...]:
         return tuple(fc for fc in self.all_cones if fc.dim == d)
 
     def find_cone_by_rays(self, ray_indices: Sequence[int]) -> FanCone | None:
         """The closure cone whose ray index set is exactly the given one."""
-        want = tuple(sorted(set(int(i) for i in ray_indices)))
-        for fc in self.all_cones:
-            if fc.ray_indices == want:
-                return fc
-        return None
+        return self.by_rays.get(tuple(sorted(set(int(i) for i in ray_indices))))
 
     def maximal_cones_containing(self, fc: FanCone) -> tuple[int, ...]:
-        out = []
-        for k, cone in enumerate(self.maximal_cones):
-            if fc.cone in self._max_faces[k]:
-                out.append(k)
-        return tuple(out)
+        """The maximal cones of this fan having ``fc.cone`` as a face; ``fc``
+        may come from another fan."""
+        own = self.by_cone.get(fc.cone)
+        return own.owners if own is not None else ()
 
     # -- identity ------------------------------------------------------------
-
-    def _with_labels(self, labels: dict[str, Sequence[int]]) -> "Fan":
-        """Copy sharing the computed closure, with fresh labels."""
-        import copy
-
-        new = copy.copy(self)
-        new.labels = {str(k): tuple(sorted(int(i) for i in v))
-                      for k, v in labels.items()}
-        return new
 
     def _key(self):
         return (self.ambient_rank, self.rays, self.maximal_cone_rays,
@@ -219,8 +214,7 @@ def is_complete(fan: Fan) -> bool:
             bool(fan.maximal_cones)
             and all(c.dim == n for c in fan.maximal_cones)
             and len(set(fan.maximal_cones)) == len(fan.maximal_cones)
-            and all(len(fan.maximal_cones_containing(wall)) == 2
-                    for wall in fan.cones_of_dim(n - 1)))
+            and all(len(wall.owners) == 2 for wall in fan.cones_of_dim(n - 1)))
     return fan._complete
 
 
@@ -229,13 +223,13 @@ def stats(fan: Fan) -> FanStats:
         raise InvalidFan("fan does not satisfy the fan axioms")
     n = fan.ambient_rank
     f = tuple(len(fan.cones_of_dim(d)) for d in range(1, n + 1))
-    two_cones = fan.cones_of_dim(2)
-    m_rho = []
-    for i in range(len(fan.rays)):
-        m_rho.append(sum(1 for fc in two_cones if i in fc.ray_indices))
-    n_sigma = []
-    for faces in fan._max_faces:
-        n_sigma.append(sum(1 for c in faces if c.dim == 2))
+    m_rho = [0] * len(fan.rays)
+    n_sigma = [0] * len(fan.maximal_cones)
+    for fc in fan.cones_of_dim(2):
+        for i in fc.ray_indices:
+            m_rho[i] += 1
+        for k in fc.owners:
+            n_sigma[k] += 1
     return FanStats(f=f, m_rho=tuple(m_rho), n_sigma=tuple(n_sigma))
 
 
@@ -325,21 +319,15 @@ def build_payne_fan() -> Fan:
     pts[pts.index((1, -1, 1))] = (1, -1, 2)
     pts[pts.index((1, 1, 1))] = (1, 2, 3)
     fan = build_face_fan(pts)
-    ray_index = {r: i for i, r in enumerate(fan.rays)}
-    labels = {}
     for name, gens in (("sigma1", PAYNE_SIGMA1), ("sigma2", PAYNE_SIGMA2),
                        ("tau", PAYNE_TAU)):
         try:
-            labels[name] = tuple(sorted(ray_index[primitive_vector(g)]
-                                        for g in gens))
+            fan.labels[name] = tuple(sorted(fan.ray_index[primitive_vector(g)]
+                                            for g in gens))
         except KeyError:
             raise InvalidFan("deformed fan lost the named generator %s" % name)
-    fan = fan._with_labels(labels)
-    for name, gens in (("sigma1", PAYNE_SIGMA1), ("sigma2", PAYNE_SIGMA2),
-                       ("tau", PAYNE_TAU)):
-        expected = Cone.from_generators(gens, 3)
-        fc = fan.find_cone_by_rays(labels[name])
-        if fc is None or fc.cone != expected:
+        fc = fan.find_cone_by_rays(fan.labels[name])
+        if fc is None or fc.cone != Cone.from_generators(gens, 3):
             raise InvalidFan("deformed fan does not contain the cone %s" % name)
     return fan
 

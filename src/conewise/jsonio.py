@@ -15,7 +15,7 @@ from typing import Sequence
 from .cpl import CountReport, CPLFunction, CPLSpace
 from .danilov import GradedPieceReport, H1Certificate
 from .dichotomy import DichotomyResult, KGroupWitness, SublatticeRefinement
-from .errors import ParseError
+from .errors import InvalidFan, ParseError
 from .fans import Fan, FanStats, ValidationReport
 from .linalg import Sublattice
 from .multival import ConsistencyReport, MultivaluedCPL, TrivialityReport
@@ -66,6 +66,11 @@ def fan_to_obj(fan: Fan) -> dict:
     }
 
 
+def _is_index_list(v) -> bool:
+    return isinstance(v, list) and all(
+        isinstance(i, int) and not isinstance(i, bool) for i in v)
+
+
 def fan_from_obj(obj) -> Fan:
     if not isinstance(obj, dict):
         raise ParseError("fan document must be a JSON object")
@@ -82,15 +87,13 @@ def fan_from_obj(obj) -> Fan:
                    for r in rays)):
         raise ParseError("fan rays must be integer vectors of length %d" % rank)
     cones = obj["maximal_cones"]
-    if (not isinstance(cones, list)
-            or any(not isinstance(c, list)
-                   or any(not isinstance(i, int) or isinstance(i, bool) for i in c)
-                   for c in cones)):
+    if not isinstance(cones, list) or not all(map(_is_index_list, cones)):
         raise ParseError("maximal cones must be lists of ray indices")
     labels = obj.get("labels", {})
     if not isinstance(labels, dict):
         raise ParseError("labels must be an object")
-    from .errors import InvalidFan
+    if not all(map(_is_index_list, labels.values())):
+        raise ParseError("labels must be lists of ray indices")
     try:
         return Fan(rank, rays, cones, labels=labels)
     except InvalidFan as exc:

@@ -130,6 +130,16 @@ class TestParseBoundary:
         doc = json.loads(err)
         assert doc["error"] == "ParseError" and "more than once" in doc["message"]
 
+    @pytest.mark.parametrize("labels", [{"a": 5}, {"a": ["x"]}, {"a": [0.5]},
+                                        {"a": [True]}, {"a": None}])
+    def test_labels_must_be_integer_lists(self, tmp_path, labels):
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps({"rank": 2, "rays": [[1, 0], [0, 1]],
+                                    "maximal_cones": [[0, 1]], "labels": labels}))
+        code, out, err = run_cli(["fdim", str(path), "--cone", "a", "--degree", "1,0"])
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
+
     def test_float_coordinates_still_name_the_wall(self, fan_files):
         code, out, _ = run_cli(["certify", fan_files["payne"], "--wall",
                                 "(1.0,-1,-1),(1,-1,2)", "--degree", "1,-1,0"])

@@ -49,11 +49,14 @@ SMALL_FANS = {
     # cone(e1, e2) and cone((1,1), (-1,1)) meet in cone((1,1), e2)
     "overlap": {"rank": 2, "rays": [[1, 0], [0, 1], [1, 1], [-1, 1]],
                 "maximal_cones": [[0, 1], [2, 3]]},
-    # a label naming a ray by a string, and one naming it by a float
+    # a label naming a ray by a string, one naming it by a float, and one
+    # that is not a list
     "label_str": {"rank": 2, "rays": [[1, 0], [0, 1]], "maximal_cones": [[0, 1]],
                   "labels": {"a": ["x"]}},
     "label_float": {"rank": 2, "rays": [[1, 0], [0, 1]], "maximal_cones": [[0, 1]],
                     "labels": {"a": [0.5]}},
+    "label_int": {"rank": 2, "rays": [[1, 0], [0, 1]], "maximal_cones": [[0, 1]],
+                  "labels": {"a": 5}},
 }
 
 JOBS = []
@@ -124,7 +127,7 @@ for _name in ("lowdim3", "rank2", "rank1", "cube_part", "stray_ray"):
     JOBS += [["cpl", "{%s}" % _name], ["multival", "{%s}" % _name]]
 for _name in ("not_pointed", "overlap"):
     JOBS += [["validate", "{%s}" % _name], ["stats", "{%s}" % _name]]
-for _name in ("label_str", "label_float"):
+for _name in ("label_str", "label_float", "label_int"):
     JOBS += [["fdim", "{%s}" % _name, "--cone", "a", "--degree", "1,0"]]
 
 

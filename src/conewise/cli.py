@@ -17,7 +17,7 @@ import time
 
 from . import __version__
 from . import jsonio
-from .cpl import cpl_space, counting_certificate, nontrivial_cpl
+from .cpl import cpl_space, counting_certificate
 from .danilov import f_dim, find_h1_witness, h1_wall_certificate
 from .dichotomy import run_dichotomy
 from .errors import (
@@ -203,7 +203,7 @@ def _cmd_cpl(args) -> dict:
     fan, text = _load_fan(args.fan)
     args._input = text
     space = cpl_space(fan)
-    fn = nontrivial_cpl(fan)
+    fn = space.nontrivial()
     count = None
     if fan.ambient_rank == 3 and is_complete(fan):
         count = counting_certificate(fan)

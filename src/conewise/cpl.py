@@ -39,7 +39,7 @@ class CPLFunction:
     """Per-maximal-cone linear functionals, one tuple per cone.
 
     ``witness_ray`` is set on nontrivial functions returned by
-    :func:`nontrivial_cpl`: a ray where the function disagrees with every
+    :meth:`CPLSpace.nontrivial`: a ray where the function disagrees with every
     global linear functional matching it elsewhere.
     """
 
@@ -75,6 +75,35 @@ class CPLSpace:
     basis: tuple[CPLFunction, ...]
     dim: int
     trivial_dim: int
+
+    def nontrivial(self) -> CPLFunction | None:
+        """An integral conewise linear function that is not globally linear.
+
+        Returns None when every conewise linear function on the fan is the
+        restriction of a single global functional.  The returned function is
+        the first basis vector, in solver order, whose values on the rays
+        cannot be matched by any global functional; denominators are cleared.
+
+        One solve per candidate decides it: the functional u matching the
+        values on a maximal independent set of rays (the pivot columns of
+        the ray matrix) matches them on every ray iff some global functional
+        does, since two such functionals differ by one vanishing on the span
+        of the rays.  The witness is the first ray where u disagrees.
+        """
+        if self.dim <= self.trivial_dim:
+            return None
+        rays = self.fan.rays
+        _, chosen = rref(mat_transpose(rays), len(rays))
+        for cand in self.basis:
+            vals = cand.ray_values()
+            u = _solve_global([rays[i] for i in chosen], [vals[i] for i in chosen])
+            if u is None:
+                raise CertificateInvalid("independent rays admit no global functional")
+            witness = next((i for i, v in enumerate(vals) if dot(u, rays[i]) != v), None)
+            if witness is not None:
+                return CPLFunction(self.fan, cand.to_integral().functionals,
+                                   witness_ray=witness)
+        return None
 
 
 def cpl_space(fan: Fan) -> CPLSpace:
@@ -158,36 +187,8 @@ def _solve_global(rays: Sequence[Sequence], values: Sequence[Fraction]):
 
 
 def nontrivial_cpl(fan: Fan) -> CPLFunction | None:
-    """An integral conewise linear function that is not globally linear.
-
-    Returns None when every conewise linear function on the fan is the
-    restriction of a single global functional.  The returned function is the
-    first basis vector, in solver order, whose values on the rays cannot be
-    matched by any global functional; denominators are cleared.
-    """
-    space = cpl_space(fan)
-    if space.dim <= space.trivial_dim:
-        return None
-    for cand in space.basis:
-        vals = cand.ray_values()
-        if _solve_global(fan.rays, vals) is not None:
-            continue
-        best = _best_global_on_independent_rays(fan, vals)
-        witness = next(i for i, v in enumerate(vals)
-                       if dot(best, fan.rays[i]) != v)
-        integral = cand.to_integral()
-        return CPLFunction(fan, integral.functionals, witness_ray=witness)
-    return None
-
-
-def _best_global_on_independent_rays(fan: Fan, values: Sequence[Fraction]):
-    """Solve for a global functional on the pivot columns of the ray matrix."""
-    _, chosen = rref(mat_transpose(fan.rays), len(fan.rays))
-    u = _solve_global([fan.rays[i] for i in chosen],
-                      [values[i] for i in chosen])
-    if u is None:
-        raise CertificateInvalid("independent rays admit no global functional")
-    return u
+    """:meth:`CPLSpace.nontrivial` of the fan's space."""
+    return cpl_space(fan).nontrivial()
 
 
 @dataclass(frozen=True)

@@ -237,6 +237,21 @@ class TestOtherCommands:
         assert doc["count"]["all_m_rho_ge_4"] == 1
         assert no_floats(doc)
 
+    def test_cpl_computes_the_space_once(self, fan_files, monkeypatch):
+        import conewise.cpl
+
+        calls = []
+
+        def counted(fan, real=conewise.cpl.cpl_space):
+            calls.append(fan)
+            return real(fan)
+
+        for module in ("conewise.cli", "conewise.cpl"):
+            monkeypatch.setattr(module + ".cpl_space", counted)
+        code, out, _ = run_cli(["cpl", fan_files["octahedron"]])
+        assert code == 0 and json.loads(out)["nontrivial"] is not None
+        assert len(calls) == 1
+
     def test_fdim_at_a_large_wall_degree_finishes(self, fan_files):
         # Lambda meet B has about 10^6 points here; a subprocess with a
         # timeout keeps a hang from stalling the suite

@@ -50,14 +50,16 @@ def _read_input(path: str) -> tuple[str, str | None]:
         raise ParseError("cannot read %s: %s" % (path, exc))
 
 
-def _load_fan(path: str) -> tuple[Fan, str]:
-    text, _ = _read_input(path)
+def _load_fan(args) -> Fan:
+    """The fan named by ``args.fan``; its text is kept for the manifest."""
+    text, _ = _read_input(args.fan)
+    args._input = text
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("malformed JSON at line %d column %d: %s"
                          % (exc.lineno, exc.colno, exc.msg))
-    return jsonio.fan_from_obj(obj), text
+    return jsonio.fan_from_obj(obj)
 
 
 def _load_lattice(path: str | None, rank: int) -> Sublattice:
@@ -172,14 +174,12 @@ def _emit(doc: dict, args, command: str, input_text: str | None) -> None:
 
 
 def _cmd_validate(args) -> dict:
-    fan, text = _load_fan(args.fan)
-    args._input = text
+    fan = _load_fan(args)
     return jsonio.validation_to_obj(validate(fan))
 
 
 def _cmd_stats(args) -> dict:
-    fan, text = _load_fan(args.fan)
-    args._input = text
+    fan = _load_fan(args)
     st = stats(fan)
     complete = is_complete(fan)
     euler = None
@@ -200,8 +200,7 @@ def _cmd_builders(args) -> dict:
 
 
 def _cmd_cpl(args) -> dict:
-    fan, text = _load_fan(args.fan)
-    args._input = text
+    fan = _load_fan(args)
     space = cpl_space(fan)
     fn = space.nontrivial()
     count = None
@@ -213,8 +212,7 @@ def _cmd_cpl(args) -> dict:
 def _cmd_multival(args) -> dict:
     from .multival import check_consistency, construct_nontrivial, triviality
 
-    fan, text = _load_fan(args.fan)
-    args._input = text
+    fan = _load_fan(args)
     f = construct_nontrivial(fan, sigma_index=args.sigma)
     doc = jsonio.multival_to_obj(f)
     consistency = check_consistency(f)
@@ -225,8 +223,7 @@ def _cmd_multival(args) -> dict:
 
 
 def _cmd_fdim(args) -> dict:
-    fan, text = _load_fan(args.fan)
-    args._input = text
+    fan = _load_fan(args)
     lattice = _load_lattice(args.lattice, fan.ambient_rank)
     degree = _parse_degree(args.degree, fan.ambient_rank)
     rays = _resolve_cone_arg(args.cone, fan)
@@ -239,8 +236,7 @@ def _cmd_fdim(args) -> dict:
 
 
 def _cmd_certify(args) -> dict:
-    fan, text = _load_fan(args.fan)
-    args._input = text
+    fan = _load_fan(args)
     lattice = _load_lattice(args.lattice, fan.ambient_rank)
     degree = _parse_degree(args.degree, fan.ambient_rank)
     wall = _parse_wall(args.wall, fan)
@@ -249,8 +245,7 @@ def _cmd_certify(args) -> dict:
 
 
 def _cmd_search(args) -> dict:
-    fan, text = _load_fan(args.fan)
-    args._input = text
+    fan = _load_fan(args)
     lattice = _load_lattice(args.lattice, fan.ambient_rank)
     certs = find_h1_witness(fan, lattice, search_radius=_radius(args))
     return {
@@ -262,8 +257,7 @@ def _cmd_search(args) -> dict:
 
 
 def _cmd_dichotomy(args) -> dict:
-    fan, text = _load_fan(args.fan)
-    args._input = text
+    fan = _load_fan(args)
     result = run_dichotomy(fan, search_radius=_radius(args))
     return jsonio.dichotomy_to_obj(result)
 

@@ -25,7 +25,7 @@ from .errors import (
     SearchExhausted,
     WrongDimension,
 )
-from .fans import Fan, ReindexedFan, is_complete, reindex_lattice, stats, validate
+from .fans import Fan, ReindexedFan, is_complete, reindex_lattice, stats
 from .linalg import RatVec, Sublattice, dot, span_lattice, vec_scale
 
 
@@ -186,8 +186,6 @@ def run_dichotomy(fan: Fan, search_radius: int = 10) -> DichotomyResult:
     """
     if fan.ambient_rank != 3:
         raise WrongDimension("the dichotomy runs on rank-3 fans")
-    if not validate(fan).ok:
-        raise InvalidFan("fan does not satisfy the fan axioms")
     if not is_complete(fan):
         raise NotComplete("the dichotomy needs a complete fan")
     st = stats(fan)

@@ -7,8 +7,9 @@ search, lattice point spans through a flat numpy box enumeration, cone
 conversion through an exhaustive search over row subsets, completeness
 through random sampling of directions, determinants through Gaussian
 elimination on Fractions, the smallest face holding a point through a
-scan of the whole face lattice, and the conewise linear space through the
-pairwise intersections of the maximal cones.
+scan of the whole face lattice, the conewise linear space through the
+pairwise intersections of the maximal cones, and the fan index through
+scans of every maximal cone's faces.
 """
 
 from fractions import Fraction
@@ -255,6 +256,32 @@ def sampled_completeness_oracle(fan, count=100, seed=988829):
         if any(v):
             directions.append(v)
     return all(any(c.contains(v) for c in fan.maximal_cones) for v in directions)
+
+
+def owners_oracle(fan, cone):
+    """The maximal cones k of ``fan`` with ``cone`` among
+    ``fan.maximal_cones[k].faces()``, by scanning every maximal cone."""
+    return tuple(k for k, c in enumerate(fan.maximal_cones) if cone in c.faces())
+
+
+def find_cone_oracle(fan, ray_indices):
+    """The first closure cone, in ``all_cones`` order, with exactly the
+    given ray index set, by scanning the closure."""
+    want = tuple(sorted(set(ray_indices)))
+    return next((fc for fc in fan.all_cones if fc.ray_indices == want), None)
+
+
+def stats_oracle(fan):
+    """(f, m_rho, n_sigma) counted cone by cone: m_rho from the 2-cones
+    holding each ray, n_sigma from each maximal cone's own faces."""
+    n = fan.ambient_rank
+    two = [fc for fc in fan.all_cones if fc.dim == 2]
+    f = tuple(sum(fc.dim == d for fc in fan.all_cones) for d in range(1, n + 1))
+    m_rho = tuple(sum(i in fc.ray_indices for fc in two)
+                  for i in range(len(fan.rays)))
+    n_sigma = tuple(sum(c.dim == 2 for c in cone.faces())
+                    for cone in fan.maximal_cones)
+    return f, m_rho, n_sigma
 
 
 def apply_unimodular(fan, u):

@@ -18,10 +18,14 @@ from conewise.linalg import Sublattice, span_lattice
 from helpers import (
     apply_unimodular,
     face_fan_facets_oracle,
+    find_cone_oracle,
+    owners_oracle,
     random_unimodular,
     sampled_completeness_oracle,
     sphere_points,
+    stats_oracle,
 )
+from test_golden import SMALL_FANS
 
 P1 = Fan(1, [(1,), (-1,)], [[0], [1]])
 
@@ -220,6 +224,69 @@ class TestStats:
         octant = Fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [[0, 1, 2]])
         with pytest.raises(NotComplete):
             euler_check(octant)
+
+
+# a half-plane beside a ray: {0} and the line are both closure cones with
+# the ray index set ()
+HALF_PLANE_AND_RAY = Fan(2, [(1, 0), (-1, 0), (0, 1), (0, -1)], [[0, 1, 2], [3]])
+
+
+class TestIndex:
+    """The lookups built with the closure against scans of every maximal
+    cone's faces."""
+
+    @pytest.fixture(scope="class")
+    def fans(self, cube_fan, octahedron_fan, payne_fan):
+        doubled = Fan(3, cube_fan.rays,
+                      cube_fan.maximal_cone_rays + cube_fan.maximal_cone_rays[:1])
+        golden = [Fan(d["rank"], d["rays"], d["maximal_cones"])
+                  for d in (SMALL_FANS["not_pointed"], SMALL_FANS["overlap"])]
+        return [cube_fan, octahedron_fan, payne_fan,
+                build_face_fan(sphere_points(5)), build_face_fan(sphere_points(6)),
+                doubled, HALF_PLANE_AND_RAY] + golden
+
+    def test_lookups_agree_with_scans(self, fans):
+        for fan in fans:
+            for fc in fan.all_cones:
+                assert fc.owners == owners_oracle(fan, fc.cone)
+                assert fan.maximal_cones_containing(fc) == fc.owners
+                assert fan.by_cone[fc.cone] is fc
+                for rays in (fc.ray_indices, fc.ray_indices[::-1] * 2):
+                    assert fan.find_cone_by_rays(rays) is find_cone_oracle(fan, rays)
+            everything = range(len(fan.rays))
+            assert fan.find_cone_by_rays(everything) is find_cone_oracle(fan, everything)
+            assert fan.ray_index == {r: i for i, r in enumerate(fan.rays)}
+
+    def test_stats_agree_with_scans(self, fans):
+        checked = 0
+        for fan in fans:
+            if validate(fan).ok:
+                st = stats(fan)
+                assert (st.f, st.m_rho, st.n_sigma) == stats_oracle(fan)
+                checked += 1
+        assert checked == 6
+
+    def test_shared_ray_set_finds_the_first_cone(self):
+        empty = [fc for fc in HALF_PLANE_AND_RAY.all_cones if fc.ray_indices == ()]
+        assert [fc.dim for fc in empty] == [0, 1]
+        assert HALF_PLANE_AND_RAY.find_cone_by_rays(()) is empty[0]
+
+    def test_doubled_cone_owns_its_faces_twice(self, cube_fan):
+        doubled = Fan(3, cube_fan.rays,
+                      cube_fan.maximal_cone_rays + cube_fan.maximal_cone_rays[:1])
+        top = doubled.find_cone_by_rays(cube_fan.maximal_cone_rays[0])
+        assert top.owners == (0, len(cube_fan.maximal_cones))
+
+    def test_cone_from_another_fan(self, cube_fan, octahedron_fan, payne_fan):
+        owned = []
+        for fan in (cube_fan, octahedron_fan, payne_fan):
+            for other in (cube_fan, octahedron_fan, payne_fan):
+                if other is not fan:
+                    for fc in other.all_cones:
+                        found = fan.maximal_cones_containing(fc)
+                        assert found == owners_oracle(fan, fc.cone)
+                        owned.append(bool(found))
+        assert any(owned) and not all(owned)
 
 
 class TestReindex:

@@ -8,9 +8,9 @@ points with x^2 + y^2 + z^2 = N; both are non-simplicial, and the dichotomy
 takes branch B on sphere5 and branch A on sphere6.  The small documents
 of ``SMALL_FANS`` and ``{cube_part}``, three of the cube's maximal cones
 over the rays they use, cover the shapes the fixtures lack: a
-lower-dimensional maximal cone, ranks 1 and 2, a non-complete fan, a ray in
-no maximal cone, two kinds of invalid fan, and labels that do not name
-rays by integer indices.  A refactor
+lower-dimensional maximal cone, ranks 1 and 2, a JSON ``true`` as the
+rank, a non-complete fan, a ray in no maximal cone, two kinds of invalid
+fan, and labels that do not name rays by integer indices.  A refactor
 that changes any of them changes a CLI document; a change that does so on
 purpose re-records the file and names the entries it changed.
 
@@ -40,6 +40,8 @@ SMALL_FANS = {
     "rank2": {"rank": 2, "rays": [[1, 0], [0, 1], [-1, 2], [0, -1]],
               "maximal_cones": [[0, 1], [1, 2], [2, 3], [3, 0]]},
     "rank1": {"rank": 1, "rays": [[1], [-1]], "maximal_cones": [[0], [1]]},
+    # a JSON true where the rank belongs
+    "rank_bool": {"rank": True, "rays": [[1], [-1]], "maximal_cones": [[0], [1]]},
     # ray 3 lies in no maximal cone
     "stray_ray": {"rank": 2, "rays": [[1, 0], [0, 1], [-1, 0], [-1, -1]],
                   "maximal_cones": [[0, 1], [1, 2]]},
@@ -123,7 +125,7 @@ JOBS += [
     ["builders", "cube"],
     ["builders", "octahedron"],
 ]
-for _name in ("lowdim3", "rank2", "rank1", "cube_part", "stray_ray"):
+for _name in ("lowdim3", "rank2", "rank1", "rank_bool", "cube_part", "stray_ray"):
     JOBS += [["cpl", "{%s}" % _name], ["multival", "{%s}" % _name]]
 for _name in ("not_pointed", "overlap"):
     JOBS += [["validate", "{%s}" % _name], ["stats", "{%s}" % _name]]

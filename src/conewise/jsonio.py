@@ -78,7 +78,7 @@ def fan_from_obj(obj) -> Fan:
         if key not in obj:
             raise ParseError("fan document is missing the %r key" % key)
     rank = obj["rank"]
-    if not isinstance(rank, int) or rank < 1:
+    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
         raise ParseError("fan rank must be a positive integer")
     rays = obj["rays"]
     if (not isinstance(rays, list)
@@ -119,7 +119,7 @@ def lattice_from_obj(obj) -> Sublattice:
     if not isinstance(obj, dict) or "rank" not in obj or "basis" not in obj:
         raise ParseError("lattice document needs 'rank' and 'basis'")
     rank = obj["rank"]
-    if not isinstance(rank, int) or rank < 1:
+    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
         raise ParseError("lattice rank must be a positive integer")
     basis = obj["basis"]
     if not isinstance(basis, list):

@@ -140,6 +140,28 @@ class TestParseBoundary:
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "ParseError"
 
+    @pytest.mark.parametrize("command", ["cpl", "multival", "validate"])
+    def test_boolean_fan_rank_is_a_parse_error(self, tmp_path, command):
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps({"rank": True, "rays": [[1], [-1]],
+                                    "maximal_cones": [[0], [1]]}))
+        code, out, err = run_cli([command, str(path)])
+        assert code == 1 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "ParseError" and "fan rank" in doc["message"]
+
+    def test_boolean_lattice_rank_is_a_parse_error(self, tmp_path):
+        fan = tmp_path / "fan.json"
+        fan.write_text(json.dumps({"rank": 1, "rays": [[1], [-1]],
+                                   "maximal_cones": [[0], [1]]}))
+        lattice = tmp_path / "lattice.json"
+        lattice.write_text(json.dumps({"rank": True, "basis": [["1"]]}))
+        code, out, err = run_cli(["fdim", str(fan), "--cone", "0", "--degree", "1",
+                                  "--lattice", str(lattice)])
+        assert code == 1 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "ParseError" and "lattice rank" in doc["message"]
+
     def test_float_coordinates_still_name_the_wall(self, fan_files):
         code, out, _ = run_cli(["certify", fan_files["payne"], "--wall",
                                 "(1.0,-1,-1),(1,-1,2)", "--degree", "1,-1,0"])

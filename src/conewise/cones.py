@@ -264,33 +264,25 @@ class Cone:
     def facets(self) -> tuple["Cone", ...]:
         return tuple(self._face(f) for f in self._rays_on_facets())
 
-    def faces(self) -> tuple["Cone", ...]:
-        """All faces (including the cone itself), sorted by dimension then
-        canonical key.  Their ray sets are the full set and the intersections
-        of facet ray sets (Kaibel & Pfetsch 2002), closed here pairwise."""
-        if self._faces is not None:
-            return self._faces
+    def face_masks(self) -> set[int]:
+        """The ray bitmasks of all faces, the cone itself included: the full
+        set and the intersections of facet ray sets (Kaibel & Pfetsch 2002),
+        closed here pairwise.  Each face is ``self._face(mask)``."""
         masks = {(1 << len(self.rays)) - 1}
         frontier = set(self._rays_on_facets())
         while frontier:
             masks |= frontier
             frontier = {a & b for a in frontier for b in masks} - masks
-        out = tuple(sorted((self._face(m) for m in masks),
-                           key=lambda c: (c.dim, c.rays, c.lineality)))
-        object.__setattr__(self, "_faces", out)
-        return out
+        return masks
 
-    def is_face_of(self, other: "Cone") -> bool:
-        if self.ambient_rank != other.ambient_rank:
-            return False
-        if any(not other.contains(g) for g in self.generators):
-            return False
-        if self.lineality != other.lineality:
-            return False
-        tight = [u for u in other.ineq_rays
-                 if all(dot(u, g) == 0 for g in self.generators)]
-        return self.rays == tuple(r for r in other.rays
-                                  if all(dot(u, r) == 0 for u in tight))
+    def faces(self) -> tuple["Cone", ...]:
+        """All faces (including the cone itself), sorted by dimension then
+        canonical key."""
+        if self._faces is None:
+            object.__setattr__(self, "_faces", tuple(sorted(
+                map(self._face, self.face_masks()),
+                key=lambda c: (c.dim, c.rays, c.lineality))))
+        return self._faces
 
     def is_smooth(self) -> bool:
         """Pointed, simplicial, and the ray generators extend to a basis."""

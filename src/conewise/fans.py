@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .cones import Cone, _halfspaces_to_rays, intersect
+from .cones import Cone, _halfspaces_to_rays
 from .errors import InvalidFan, NotComplete, NotFullRank, OriginNotInterior, WrongDimension
 from .linalg import (
     Sublattice,
@@ -67,6 +67,10 @@ class FanStats:
         return min(self.m_rho)
 
 
+def _rays_in(rays: tuple, mask: int) -> tuple:
+    return tuple(r for i, r in enumerate(rays) if mask >> i & 1)
+
+
 class Fan:
     """Immutable fan with an eagerly computed face closure."""
 
@@ -106,21 +110,25 @@ class Fan:
     # -- closure -----------------------------------------------------------
 
     def _ray_indices_of(self, cone: Cone) -> tuple[int, ...]:
-        idx = []
+        """The index of each of the cone's rays, in the order of its rays."""
         for r in cone.rays:
-            i = self.ray_index.get(r)
-            if i is None:
+            if r not in self.ray_index:
                 raise InvalidFan("face ray %s is not a listed fan ray" % (r,))
-            idx.append(i)
-        return tuple(sorted(idx))
+        return tuple(self.ray_index[r] for r in cone.rays)
 
     def _build_closure(self):
-        owners: dict[Cone, list[int]] = {}
+        """Each face of a maximal cone is a ray mask (:meth:`Cone.face_masks`)
+        and keyed by its canonical ``(rays, lineality)``: the cone's rays in
+        the mask and the cone's lineality.  It is built once, from its first
+        owner; its data are canonical, so every owner would build the same."""
+        owners: dict[tuple, tuple] = {}
         for k, cone in enumerate(self.maximal_cones):
-            for f in cone.faces():
-                owners.setdefault(f, []).append(k)
-        cones = [FanCone(c, self._ray_indices_of(c), tuple(ks))
-                 for c, ks in owners.items()]
+            idx = self._ray_indices_of(cone)
+            for mask in cone.face_masks():
+                key = (_rays_in(cone.rays, mask), cone.lineality)
+                owners.setdefault(key, (cone, mask, idx, []))[3].append(k)
+        cones = [FanCone(c._face(m), tuple(sorted(_rays_in(idx, m))), tuple(ks))
+                 for c, m, idx, ks in owners.values()]
         cones.sort(key=lambda fc: (fc.dim, fc.ray_indices, fc.cone.rays))
         self.all_cones: tuple[FanCone, ...] = tuple(cones)
         self.by_cone: dict[Cone, FanCone] = {fc.cone: fc for fc in cones}
@@ -164,12 +172,43 @@ class Fan:
 # validation and completeness
 
 
+def _meet_is_common_face(a: Cone, b: Cone) -> bool:
+    """Whether ``a`` and ``b`` meet in a face of each, by one conversion of
+    D = a^v ∩ (-b)^v; see :func:`validate`."""
+    ga = a.generators
+    _, _, tight = _halfspaces_to_rays(ga + tuple(map(vec_neg, b.generators)),
+                                      a.ambient_rank)
+    common = -1
+    for z in tight:
+        common &= z
+    return ((_rays_in(a.rays, common), a.lineality)
+            == (_rays_in(b.rays, common >> len(ga)), b.lineality))
+
+
 def validate(fan: Fan) -> ValidationReport:
     """Check the fan axioms pairwise on maximal cones.
 
     Face closure holds by construction, so the work is: strong convexity of
     each cone and the common-face property for every pair.  Violations are
     reported as data, never raised.
+
+    The pair check is the Separation Lemma (Fulton, *Introduction to Toric
+    Varieties*, 1993, §1.2): a and b meet in a face of each iff some u in
+    D = a^v ∩ (-b)^v has ``a ∩ u^⊥ = a ∩ b = b ∩ u^⊥``.  Every u in D is
+    >= 0 on a and <= 0 on b, so it vanishes on a ∩ b, and ``a ∩ u^⊥`` is a
+    face of a holding a ∩ b.  For u in the relative interior of D and any
+    u' in D, ``u - εu'`` lies in D for small ε > 0, so ``a ∩ u^⊥`` lies in
+    ``a ∩ u'^⊥``; hence ``a ∩ u^⊥ = a ∩ D^⊥`` is the smallest face that any
+    u in D cuts out of a, and likewise for b.  So some u works iff a
+    relative-interior one does, that is iff ``a ∩ D^⊥ = b ∩ D^⊥``: that
+    cone holds a ∩ b and lies in both a and b.
+
+    One conversion of the rows ``a.generators + (-b.generators)`` gives the
+    rays of D with the rows tight on each; the generators tight on all of
+    them vanish on D, so they span ``a ∩ D^⊥`` and ``b ∩ D^⊥``.  A face is
+    the cone's lineality plus its rays in the face, both canonical, so the
+    two faces compare by those tuples, pointed or not, full-dimensional or
+    not.
     """
     if fan._validation is not None:
         return fan._validation
@@ -178,9 +217,7 @@ def validate(fan: Fan) -> ValidationReport:
         if not cone.is_pointed():
             violations.append({"kind": "not_pointed", "cones": [k]})
     for i, j in combinations(range(len(fan.maximal_cones)), 2):
-        ci, cj = fan.maximal_cones[i], fan.maximal_cones[j]
-        meet = intersect(ci, cj)
-        if not (meet.is_face_of(ci) and meet.is_face_of(cj)):
+        if not _meet_is_common_face(fan.maximal_cones[i], fan.maximal_cones[j]):
             violations.append({"kind": "intersection_not_common_face",
                                "cones": [i, j]})
     report = ValidationReport(ok=not violations, violations=tuple(violations))

@@ -7,9 +7,10 @@ search, lattice point spans through a flat numpy box enumeration, cone
 conversion through an exhaustive search over row subsets, completeness
 through random sampling of directions, determinants through Gaussian
 elimination on Fractions, the smallest face holding a point through a
-scan of the whole face lattice, the conewise linear space through the
-pairwise intersections of the maximal cones, and the fan index through
-scans of every maximal cone's faces.
+scan of the whole face lattice, the conewise linear space and the fan
+axioms through the pairwise intersections of the maximal cones, face
+relations through facet normals, and the fan index through scans of every
+maximal cone's faces.
 """
 
 from fractions import Fraction
@@ -262,6 +263,40 @@ def owners_oracle(fan, cone):
     """The maximal cones k of ``fan`` with ``cone`` among
     ``fan.maximal_cones[k].faces()``, by scanning every maximal cone."""
     return tuple(k for k, c in enumerate(fan.maximal_cones) if cone in c.faces())
+
+
+def is_face_oracle(face, cone):
+    """Whether ``face`` is a face of ``cone``: its generators lie in the
+    cone, the linealities agree, and its rays are exactly the rays of the
+    cone on every facet normal that vanishes on all of its generators."""
+    if face.ambient_rank != cone.ambient_rank:
+        return False
+    if any(not cone.contains(g) for g in face.generators):
+        return False
+    if face.lineality != cone.lineality:
+        return False
+    tight = [u for u in cone.ineq_rays
+             if all(dot(u, g) == 0 for g in face.generators)]
+    return face.rays == tuple(r for r in cone.rays
+                              if all(dot(u, r) == 0 for u in tight))
+
+
+def validate_oracle(fan):
+    """The violation list of ``validate`` by the pairwise route: a
+    ``not_pointed`` entry per cone with lineality, then an
+    ``intersection_not_common_face`` entry per pair whose ``intersect`` is
+    not a face of both, by :func:`is_face_oracle`."""
+    from conewise.cones import intersect
+
+    cones = fan.maximal_cones
+    violations = [{"kind": "not_pointed", "cones": [k]}
+                  for k, c in enumerate(cones) if not c.is_pointed()]
+    for i, j in combinations(range(len(cones)), 2):
+        meet = intersect(cones[i], cones[j])
+        if not (is_face_oracle(meet, cones[i]) and is_face_oracle(meet, cones[j])):
+            violations.append({"kind": "intersection_not_common_face",
+                               "cones": [i, j]})
+    return tuple(violations)
 
 
 def find_cone_oracle(fan, ray_indices):

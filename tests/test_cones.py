@@ -12,6 +12,7 @@ from helpers import (
     faces_oracle,
     fraction_det,
     halfspaces_to_rays_oracle,
+    is_face_oracle,
     random_unimodular,
     smallest_face_oracle,
 )
@@ -170,7 +171,7 @@ class TestSmallestFace:
             p = tuple(sum(c0 * g[t] for c0, g in zip(coeffs, gens))
                       for t in range(3))
             face = smallest_face_oracle(c, p)
-            assert face.is_face_of(c)
+            assert is_face_oracle(face, c)
             assert face.contains(p)
             assert face.in_relative_interior(p) or all(x == 0 for x in p) \
                 and face.dim == c.lineality_dim
@@ -206,9 +207,9 @@ class TestFaceRelations:
 
     def test_ray_is_face(self):
         ray = Cone.from_generators([(1, -1, -1)])
-        assert ray.is_face_of(TAU)
-        assert not Cone.from_generators([(1, 0, 0)]).is_face_of(TAU)
-        assert TAU.is_face_of(TAU)
+        assert is_face_oracle(ray, TAU)
+        assert not is_face_oracle(Cone.from_generators([(1, 0, 0)]), TAU)
+        assert is_face_oracle(TAU, TAU)
 
     def test_facet_pairs_errors(self):
         with pytest.raises(NotFullDimensional):

@@ -196,20 +196,29 @@ class TestRunDichotomy:
 @pytest.mark.parametrize("r2, branch", [(6, "line_bundle"), (5, "k_group")])
 def test_only_the_one_validate_intersects(r2, branch, monkeypatch):
     """Branch A reads the conewise linear space off ray values, and branch B
-    carries the validation through the reindexing: the C(k,2) intersections
-    of the first ``validate`` are the only ones."""
+    carries the validation through the reindexing: the C(k,2) pair checks
+    of the first ``validate`` are the only ones, and no ``intersect`` runs,
+    since the pair check separates the two cones instead."""
     import conewise.cones
+    import conewise.fans
 
     fan = build_face_fan(sphere_points(r2))
+    real_check = conewise.fans._meet_is_common_face
     real = conewise.cones.intersect
-    callers = []
+    checks, intersects = [], []
+
+    def counting_check(a, b):
+        checks.append(sys._getframe(1).f_code.co_name)
+        return real_check(a, b)
 
     def counting(c1, c2):
-        callers.append(sys._getframe(1).f_code.co_name)
+        intersects.append(sys._getframe(1).f_code.co_name)
         return real(c1, c2)
 
+    monkeypatch.setattr(conewise.fans, "_meet_is_common_face", counting_check)
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "conewise" and getattr(module, "intersect", None) is real:
             monkeypatch.setattr(module, "intersect", counting)
     assert run_dichotomy(fan).branch == branch
-    assert callers == ["validate"] * comb(len(fan.maximal_cones), 2)
+    assert checks == ["validate"] * comb(len(fan.maximal_cones), 2)
+    assert intersects == []

@@ -266,6 +266,32 @@ class TestIndex:
                 checked += 1
         assert checked == 6
 
+    def test_each_face_is_built_once_and_canonical(self, fans):
+        """A closure cone is built from its first owner alone; that is safe
+        because the same face taken from every owner has the same data."""
+        def data(c):
+            return c.rays, c.lineality, c.ineq_rays, c.equations
+
+        for fan in fans:
+            for fc in fan.all_cones:
+                for k in fc.owners:
+                    faces = fan.maximal_cones[k].faces()
+                    assert data(faces[faces.index(fc.cone)]) == data(fc.cone)
+
+    def test_closure_builds_each_face_once(self, monkeypatch):
+        real = Cone._face
+        full = []
+
+        def counting(cone, mask):
+            full.append(mask == (1 << len(cone.rays)) - 1)
+            return real(cone, mask)
+
+        monkeypatch.setattr(Cone, "_face", counting)
+        fan = build_face_fan(sphere_points(6))
+        maximal = set(fan.maximal_cones)
+        assert len(maximal) == len(fan.maximal_cones) == full.count(True)
+        assert full.count(False) == sum(fc.cone not in maximal for fc in fan.all_cones)
+
     def test_shared_ray_set_finds_the_first_cone(self):
         empty = [fc for fc in HALF_PLANE_AND_RAY.all_cones if fc.ray_indices == ()]
         assert [fc.dim for fc in empty] == [0, 1]

@@ -1,8 +1,9 @@
 """Golden CLI corpus: every listed command must keep its exact output.
 
 Each entry of ``golden_digests.json`` holds an argv (``{cube}``,
-``{octahedron}``, ``{payne}``, ``{sphere5}``, ``{sphere6}`` and
-``{half_lattice}`` stand for the fixture files), the exit code, and the
+``{octahedron}``, ``{payne}``, ``{sphere5}``, ``{sphere6}``,
+``{half_lattice}``, ``{index2_lattice}`` and ``{den2_lattice}`` stand for
+the fixture files), the exit code, and the
 sha256 of stdout and of stderr.  ``sphereN`` is the face fan of the lattice
 points with x^2 + y^2 + z^2 = N; both are non-simplicial, and the dichotomy
 takes branch B on sphere5 and branch A on sphere6.  The small documents
@@ -59,6 +60,11 @@ SMALL_FANS = {
                     "labels": {"a": [0.5]}},
     "label_int": {"rank": 2, "rays": [[1, 0], [0, 1]], "maximal_cones": [[0, 1]],
                   "labels": {"a": 5}},
+}
+
+LATTICES = {
+    "index2_lattice": [[2, 0, 0], [0, 1, 0], [0, 0, 1]],
+    "den2_lattice": [["1/2", "1/2", 0], [0, 1, 0], [0, 0, 1]],
 }
 
 JOBS = []
@@ -125,6 +131,13 @@ JOBS += [
     ["builders", "cube"],
     ["builders", "octahedron"],
 ]
+# the benchmark's search radius, on the standard lattice, an index-2
+# sublattice and a den-2 overlattice
+for _name in FIXTURES:
+    JOBS += [["search", "{%s}" % _name, "--radius", "2"]]
+for _name in ("payne", "cube"):
+    JOBS += [["search", "{%s}" % _name, "--radius", "2", "--lattice", "{%s}" % _lat]
+             for _lat in ("index2_lattice", "den2_lattice")]
 for _name in ("lowdim3", "rank2", "rank1", "rank_bool", "cube_part", "stray_ray"):
     JOBS += [["cpl", "{%s}" % _name], ["multival", "{%s}" % _name]]
 for _name in ("not_pointed", "overlap"):
@@ -175,6 +188,9 @@ def _write_fixtures(root: Path) -> dict:
         (Fraction(1, 2), Fraction(-1, 2), Fraction(0)))
     (root / "half.json").write_text(dumps(lattice_to_obj(half)))
     paths["half_lattice"] = str(root / "half.json")
+    for name, basis in LATTICES.items():
+        (root / ("%s.json" % name)).write_text(dumps({"rank": 3, "basis": basis}))
+        paths[name] = str(root / ("%s.json" % name))
     return paths
 
 

@@ -18,7 +18,7 @@ once.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import NotFullDimensional, NotPointed
@@ -41,6 +41,14 @@ def _eliminate(p: int, x: IntVec, q: int, y: IntVec) -> IntVec:
     z = [p * a - q * b for a, b in zip(x, y)]
     g = gcd(*z)
     return tuple(c // g for c in z)
+
+
+def _integral(p: Sequence) -> IntVec:
+    """p times the lcm of its denominators: an integer point on the same ray,
+    so every pairing keeps its sign."""
+    p = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in p]
+    d = lcm(*(x.denominator for x in p))
+    return tuple(x.numerator * (d // x.denominator) for x in p)
 
 
 def _maximal(sets: set[int]) -> set[int]:
@@ -218,14 +226,14 @@ class Cone:
                     self.rays, self.lineality)
 
     def contains(self, p: Sequence) -> bool:
-        p = tuple(Fraction(x) for x in p)
-        return (all(dot(e, p) == 0 for e in self.equations)
-                and all(dot(u, p) >= 0 for u in self.ineq_rays))
+        w = _integral(p)
+        return (all(dot(e, w) == 0 for e in self.equations)
+                and all(dot(u, w) >= 0 for u in self.ineq_rays))
 
     def in_relative_interior(self, p: Sequence) -> bool:
-        p = tuple(Fraction(x) for x in p)
-        return (all(dot(e, p) == 0 for e in self.equations)
-                and all(dot(u, p) > 0 for u in self.ineq_rays))
+        w = _integral(p)
+        return (all(dot(e, w) == 0 for e in self.equations)
+                and all(dot(u, w) > 0 for u in self.ineq_rays))
 
     def span(self) -> Sublattice:
         """Saturated lattice of the linear span: the kernel of the equations."""

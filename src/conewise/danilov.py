@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .cones import Cone
@@ -311,26 +312,53 @@ def lattice_points_in_box(lattice: Sublattice, radius: int) -> list[RatVec]:
     return list(lattice_points_by_shell(lattice, radius))
 
 
+def _smooth_wall(wall: Cone, lattice: Sublattice) -> bool:
+    """Whether a 2-dimensional cone is pointed, with rays g_1, g_2, and the
+    gcd of the 2x2 minors of its pairing matrix ``[<g_i, b_j>]`` over the
+    lattice basis is 1; see :func:`find_h1_witness` for why such a wall
+    never certifies."""
+    if wall.lineality:
+        return False
+    rows = [[dot(g, b) for g in wall.rays] for b in lattice.basis_int]
+    return gcd(*(a[0] * b[1] - a[1] * b[0]
+                 for a, b in itertools.combinations(rows, 2))) == 1
+
+
 def find_h1_witness(fan: Fan, lattice: Sublattice | None = None,
                     search_radius: int = 2) -> list[H1Certificate]:
     """Exhaustive scan over walls and small degrees in the relative interior
     of the wall's dual cone; returns every valid certificate in the
-    deterministic (wall, degree) enumeration order."""
+    deterministic (wall, degree) enumeration order.
+
+    A wall piece with dim_f = 0 never certifies, whatever the neighbours
+    give, so their reports are skipped, and a smooth wall (:func:`_smooth_wall`)
+    on a full-rank lattice is skipped whole, with no report at all.  Such a
+    wall has dim_f = 0 at every degree m of relint tau^v.  With ``pi(x) =
+    (den*<g_1, x>, den*<g_2, x>)`` and ``L = (1/den) rowspan(b_j)``, pi(L)
+    is the row lattice of ``[<g_i, b_j>]``, which is Z^2 iff the gcd of its
+    2x2 minors is 1.  The pairings ``p_i = den*<g_i, m>`` are integers, and
+    positive in relint tau^v, so p_1, p_2 >= 1 and the box ``[0, p_1] x
+    [0, p_2]`` of :func:`_pairing_span` holds (1, 0) and (0, 1).  The span is
+    then all of L, of rank 3, and no column is tight, so ``dim_f = 3 - 3 =
+    0`` (Fulton 1993, 1.2-2.1: the chart of a smooth cone).  On a lattice of
+    lower rank no wall is skipped, so f_dim still raises NotFullRank.
+    """
     if fan.ambient_rank != 3:
         raise WrongDimension("witness search runs on rank-3 fans")
     if not is_complete(fan):
         raise NotComplete("witness search needs a complete fan")
     if lattice is None:
         lattice = Sublattice.standard(fan.ambient_rank)
+    full = lattice.rank == fan.ambient_rank
     degrees = lattice_points_in_box(lattice, search_radius)
     out = []
     for fc in fan.cones_of_dim(2):
+        if full and _smooth_wall(fc.cone, lattice):
+            continue
         dual = fc.cone.dual()
         for m in degrees:
             if not dual.in_relative_interior(m):
                 continue
-            # a wall piece with dim_f = 0 never certifies, whatever the
-            # neighbours give, so their reports are skipped
             wall_report = f_dim(fc.cone, m, lattice)
             if wall_report.dim_f == 0:
                 continue

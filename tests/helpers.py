@@ -9,8 +9,10 @@ through random sampling of directions, determinants through Gaussian
 elimination on Fractions, the smallest face holding a point through a
 scan of the whole face lattice, the conewise linear space and the fan
 axioms through the pairwise intersections of the maximal cones, face
-relations through facet normals, and the fan index through scans of every
-maximal cone's faces.
+relations through facet normals, the fan index through scans of every
+maximal cone's faces, cone membership and relative interiors through
+``Fraction`` pairings with the facet normals, and the witness search
+through a scan of every wall and every box degree with no skipped wall.
 """
 
 from fractions import Fraction
@@ -122,6 +124,45 @@ def cone_contains_oracle(generators, point):
             if coeffs is not None and all(c >= 0 for c in coeffs):
                 return True
     return False
+
+
+def contains_oracle(cone, p):
+    """``Cone.contains`` in Fractions: p pairs to 0 with every equation and
+    nonnegatively with every facet normal."""
+    p = tuple(Fraction(x) for x in p)
+    return (all(dot(e, p) == 0 for e in cone.equations)
+            and all(dot(u, p) >= 0 for u in cone.ineq_rays))
+
+
+def relative_interior_oracle(cone, p):
+    """``Cone.in_relative_interior`` in Fractions: p pairs to 0 with every
+    equation and positively with every facet normal."""
+    p = tuple(Fraction(x) for x in p)
+    return (all(dot(e, p) == 0 for e in cone.equations)
+            and all(dot(u, p) > 0 for u in cone.ineq_rays))
+
+
+def find_h1_witness_oracle(fan, lattice, search_radius):
+    """``find_h1_witness`` with no wall skipped: f_dim on every wall at
+    every box degree in the relative interior of its dual (tested by
+    :func:`relative_interior_oracle`), and the neighbour reports wherever
+    the wall's dim_f is at least 1."""
+    from conewise.danilov import _certificate, f_dim, lattice_points_in_box
+
+    degrees = lattice_points_in_box(lattice, search_radius)
+    out = []
+    for fc in fan.cones_of_dim(2):
+        dual = fc.cone.dual()
+        for m in degrees:
+            if not relative_interior_oracle(dual, m):
+                continue
+            wall_report = f_dim(fc.cone, m, lattice)
+            if wall_report.dim_f == 0:
+                continue
+            cert = _certificate(fan, fc, m, lattice, wall_report)
+            if cert.valid:
+                out.append(cert)
+    return out
 
 
 def facet_count_oracle(generators, box=8):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conewise import danilov
 from conewise.cones import Cone, intersect
 from conewise.danilov import (
     f_dim,
@@ -350,3 +351,24 @@ class TestWitnessSearch:
         # yields no witness at this radius, matching its need for the
         # sublattice refinement
         assert find_h1_witness(cube_fan, Z3, search_radius=2) == []
+
+    @pytest.mark.parametrize("name, calls", [
+        # 464 and 240 before the smooth walls were skipped; the cube has none
+        ("payne_fan", 288), ("cube_fan", 432), ("octahedron_fan", 0)])
+    def test_f_dim_call_count(self, request, monkeypatch, name, calls):
+        count = [0]
+
+        def counted(*args):
+            count[0] += 1
+            return f_dim(*args)
+
+        monkeypatch.setattr(danilov, "f_dim", counted)
+        find_h1_witness(request.getfixturevalue(name), Z3, search_radius=2)
+        assert count[0] == calls
+
+    def test_lower_rank_lattice_is_refused(self, octahedron_fan):
+        # every wall of the octahedron pairs the plane z = 0 onto Z^2 or not
+        # at all, so a skip keyed on the minors alone would return []
+        plane = Sublattice.from_rows(3, [[1, 0, 0], [0, 1, 0]])
+        with pytest.raises(NotFullRank):
+            find_h1_witness(octahedron_fan, plane, search_radius=1)

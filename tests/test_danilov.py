@@ -353,7 +353,8 @@ class TestWitnessSearch:
         assert find_h1_witness(cube_fan, Z3, search_radius=2) == []
 
     @pytest.mark.parametrize("name, calls", [
-        # 464 and 240 before the smooth walls were skipped; the cube has none
+        # 6 of payne's 14 walls, none of the cube's 12 and all 12 of the
+        # octahedron's are smooth, and a smooth wall costs no f_dim call
         ("payne_fan", 288), ("cube_fan", 432), ("octahedron_fan", 0)])
     def test_f_dim_call_count(self, request, monkeypatch, name, calls):
         count = [0]
@@ -367,8 +368,9 @@ class TestWitnessSearch:
         assert count[0] == calls
 
     def test_lower_rank_lattice_is_refused(self, octahedron_fan):
-        # every wall of the octahedron pairs the plane z = 0 onto Z^2 or not
-        # at all, so a skip keyed on the minors alone would return []
+        # the octahedron's walls in the plane z = 0 pair it onto Z^2, and no
+        # other wall has a degree of it in its dual's relative interior, so
+        # a skip keyed on the minors alone would return []
         plane = Sublattice.from_rows(3, [[1, 0, 0], [0, 1, 0]])
         with pytest.raises(NotFullRank):
             find_h1_witness(octahedron_fan, plane, search_radius=1)

@@ -3,8 +3,8 @@
 Each entry of ``golden_digests.json`` holds an argv (``{cube}``,
 ``{octahedron}``, ``{payne}``, ``{sphere5}``, ``{sphere6}``,
 ``{half_lattice}``, ``{index2_lattice}`` and ``{den2_lattice}`` stand for
-the fixture files), the exit code, and the
-sha256 of stdout and of stderr.  ``sphereN`` is the face fan of the lattice
+the fixture files), the exit code, and the sha256 of stdout and of
+stderr.  ``sphereN`` is the face fan of the lattice
 points with x^2 + y^2 + z^2 = N; both are non-simplicial, and the dichotomy
 takes branch B on sphere5 and branch A on sphere6.  The small documents
 of ``SMALL_FANS`` and ``{cube_part}``, three of the cube's maximal cones
